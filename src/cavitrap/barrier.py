@@ -9,12 +9,14 @@ at least d, so the walk terminates; the smallest energy peak over several
 independent walks is an upper bound on the barrier.
 
 The grey region is exactly cube(x, epsilon) intersected with
-ball(x_f, |x - x_f| - d). Candidates are drawn by two rejection routes
-(uniform-in-cube keeping ball hits, and uniform-in-ball keeping cube
-hits); both are uniform on the intersection, so pooling them preserves
-the law while keeping the acceptance rate workable at both ends of the
-walk. n_samples counts accepted grey-region points, matching the walk's
-sampling density regardless of how thin the grey region gets.
+ball(x_f, |x - x_f| - d). Candidates come by rejection from one of the two
+containers: uniform in the cube keeping ball hits, or uniform in the ball
+keeping cube hits. Either route alone is uniform on the intersection, so
+the choice leaves the law unchanged; it only sets the acceptance rate,
+vol(intersection) / vol(container). Each call therefore draws from the
+smaller container, picked from the closed-form volumes. n_samples counts
+accepted grey-region points, matching the walk's sampling density
+regardless of how thin the grey region gets.
 """
 
 import math
@@ -74,23 +76,40 @@ def _xy_flat(config):
 
 
 def _sample_grey(x, xf, d, eps, n, rng):
-    """Up to n points uniform on cube(x, eps) intersect ball(xf, |x-xf|-d)."""
+    """Up to n points uniform on cube(x, eps) intersect ball(xf, |x-xf|-d).
+
+    All n draws come from whichever container has the smaller volume,
+    eps^dim for the cube or pi^(dim/2) R^dim / Gamma(dim/2 + 1) for the
+    ball; the points that fall in the other container are kept. Rejection
+    from either container is uniform on the intersection, and the smaller
+    one accepts the larger share of its draws.
+    """
     dim = x.size
     r_ball = np.linalg.norm(x - xf) - d
     if r_ball <= 0:
         return np.empty((0, dim))
-    half = max(n // 2, 1)
+    shift = x - xf
+    log_cube = dim * math.log(eps)
+    log_ball = (
+        0.5 * dim * math.log(math.pi)
+        - math.lgamma(0.5 * dim + 1.0)
+        + dim * math.log(r_ball)
+    )
 
-    cube = x + eps * (rng.random((half, dim)) - 0.5)
-    keep_cube = cube[np.linalg.norm(cube - xf, axis=1) <= r_ball]
+    if log_cube <= log_ball:
+        y = rng.random((n, dim))
+        y -= 0.5
+        y *= eps
+        y += shift  # now relative to xf
+        keep = np.einsum("ij,ij->i", y, y) <= r_ball**2
+        return xf + y[keep]
 
-    direction = rng.standard_normal((half, dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radii = r_ball * rng.random(half) ** (1.0 / dim)
-    ball = xf + radii[:, None] * direction
-    keep_ball = ball[np.max(np.abs(ball - x), axis=1) <= eps / 2.0]
-
-    return np.vstack([keep_cube, keep_ball])
+    y = rng.standard_normal((n, dim))
+    radii = r_ball * rng.random(n) ** (1.0 / dim)
+    y *= (radii / np.sqrt(np.einsum("ij,ij->i", y, y)))[:, None]
+    y -= shift  # now relative to x
+    keep = np.max(np.abs(y), axis=1) <= eps / 2.0
+    return x + y[keep]
 
 
 def propose_step(x_i, x_f, params, rng, trap, species, energy_i=None):

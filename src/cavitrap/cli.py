@@ -28,11 +28,11 @@ from . import __version__
 from .core import (
     CONST,
     OpticalTrapConfig,
+    TrapConfig,
     depth_for_aspect,
     effective_frequencies,
     intensity_from_power,
     load_species,
-    make_trap,
     stark_coefficient,
 )
 from .barrier import BarrierWalkParams, barrier_pair
@@ -162,8 +162,7 @@ def _build_trap(cfg, species):
         finesse=cfg.get("finesse", 3000.0),
         input_power=cfg.get("power_w", 0.0),
     )
-    trap = make_trap(omega_x, optical)
-    trap = type(trap)(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
+    trap = TrapConfig(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
 
     if "depth_mk" in cfg:
         depth = cfg["depth_mk"] * 1e-3 * CONST.boltzmann

@@ -211,15 +211,19 @@ def planar_energy(xy, trap, species):
 
 
 def planar_energy_batch(xy_batch, trap, species):
-    """planar_energy vectorized over rows of a (B, 2N) array."""
+    """planar_energy vectorized over rows of a (B, 2N) array.
+
+    The Coulomb sum runs over ion i, pairing it with ions j > i across all
+    rows at once, so the largest temporary is (B, N - 1, 2) and memory
+    grows as B*N, not B*N^2.
+    """
     batch = np.asarray(xy_batch, dtype=float)
     pts = batch.reshape(batch.shape[0], -1, 2)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    nn = pts.shape[1]
-    r[:, np.arange(nn), np.arange(nn)] = np.inf
-    kq = CONST.coulomb_coefficient
-    e = 0.5 * kq * np.sum(1.0 / r, axis=(1, 2))
+    inv_r = np.zeros(pts.shape[0])
+    for i in range(pts.shape[1] - 1):
+        diff = pts[:, i + 1 :, :] - pts[:, i, None, :]
+        inv_r += np.sum(1.0 / np.sqrt(np.einsum("bjk,bjk->bj", diff, diff)), axis=1)
+    e = CONST.coulomb_coefficient * inv_r
     m = species.mass
     e += 0.5 * m * np.sum(
         trap.omega_x_dc**2 * pts[:, :, 0] ** 2 + trap.omega_y_dc**2 * pts[:, :, 1] ** 2,

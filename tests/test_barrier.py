@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scipy.stats import chisquare
+from scipy.stats import chisquare, ks_2samp
 
 import cavitrap as cv
 from cavitrap.barrier import _sample_grey
@@ -42,6 +42,57 @@ def test_grey_region_membership(five_ion_pair):
     assert np.abs(samples - x).max() <= eps / 2 + 1e-18
     radii = np.linalg.norm(samples - xf, axis=1)
     assert radii.max() <= dist - d + 1e-18
+
+
+def _brute_force_grey(x, xf, d, eps, n, rng):
+    """Reference law: rejection from the bounding box of cube(x, eps) and ball."""
+    r_ball = np.linalg.norm(x - xf) - d
+    lo = np.maximum(x - eps / 2, xf - r_ball)
+    hi = np.minimum(x + eps / 2, xf + r_ball)
+    pool, kept = [], 0
+    while kept < n:
+        y = lo + (hi - lo) * rng.random((4 * n, x.size))
+        hit = (np.linalg.norm(y - xf, axis=1) <= r_ball) & (
+            np.max(np.abs(y - x), axis=1) <= eps / 2
+        )
+        pool.append(y[hit])
+        kept += hit.sum()
+    return np.vstack(pool)[:n]
+
+
+# dim = 4 geometries as (d, eps, |x - xf|); the grey region is a proper
+# piece of both containers in each, and the named container is smaller.
+GREY_GEOMETRIES = {"cube_smaller": (0.3, 1.0, 1.5), "ball_smaller": (0.3, 1.0, 0.8)}
+
+
+@pytest.mark.parametrize("geometry", sorted(GREY_GEOMETRIES))
+def test_grey_sampler_law_matches_brute_force(geometry):
+    d, eps, dist = GREY_GEOMETRIES[geometry]
+    dim = 4
+    x = np.zeros(dim)
+    direction = np.array([0.6, 0.4, -0.3, 0.2])
+    xf = dist * direction / np.linalg.norm(direction)
+    r_ball = dist - d
+    ball_volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * r_ball**dim
+    assert (eps**dim < ball_volume) == (geometry == "cube_smaller")
+
+    rng = np.random.default_rng(11)
+    got = np.vstack([_sample_grey(x, xf, d, eps, 1000, rng) for _ in range(40)])
+    assert len(got) > 2000
+    ref = _brute_force_grey(x, xf, d, eps, len(got), np.random.default_rng(12))
+    for k in range(dim):
+        assert ks_2samp(got[:, k], ref[:, k]).pvalue > 0.01, f"coordinate {k}"
+    radius = ks_2samp(np.linalg.norm(got - xf, axis=1), np.linalg.norm(ref - xf, axis=1))
+    assert radius.pvalue > 0.01
+
+
+def test_grey_sampler_keeps_every_draw_when_ball_inside_cube():
+    x = np.zeros(4)
+    xf = np.array([0.3, 0.2, 0.1, 0.0])
+    d, eps = 0.2, 2.0  # ball radius ~0.17 around xf, cube half-side 1 around x
+    samples = _sample_grey(x, xf, d, eps, 500, np.random.default_rng(3))
+    assert len(samples) == 500
+    assert np.linalg.norm(samples - xf, axis=1).max() <= np.linalg.norm(x - xf) - d
 
 
 def test_propose_step_moves_closer(five_ion_pair, bare_trap_21, species):

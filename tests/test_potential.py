@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,11 +144,33 @@ def test_planar_agrees_with_embedded_3d(species, variant):
 
 
 def test_batch_energy_matches_scalar(species):
-    trap = trap_with(cv.ANTINODE_COS2, depth=10e-3 * cv.CONST.boltzmann)
-    batch = np.stack([scattered_points(7, RNG, dim=2) for _ in range(9)])
-    e_batch = cv.planar_energy_batch(batch, trap, species)
-    for row, e in zip(batch, e_batch):
-        assert e == pytest.approx(cv.planar_energy(row, trap, species), rel=1e-12)
+    rng = np.random.default_rng(7)
+    for variant in (cv.NODE_SIN2, cv.ANTINODE_COS2):
+        trap = trap_with(variant, depth=10e-3 * cv.CONST.boltzmann)
+        for n_ions, rows in ((2, 1), (2, 3), (7, 9), (300, 1), (300, 3)):
+            batch = np.stack([
+                scattered_points(n_ions, rng, scale=60e-6, dim=2, min_sep=1e-7)
+                for _ in range(rows)
+            ])
+            e_batch = cv.planar_energy_batch(batch, trap, species)
+            assert e_batch.shape == (rows,)
+            for row, e in zip(batch, e_batch):
+                assert e == pytest.approx(
+                    cv.planar_energy(row, trap, species), rel=1e-12
+                ), (variant, n_ions, rows)
+
+
+def test_batch_energy_memory_linear_in_ions(species):
+    """1000 rows at N = 300: a (B, N, N, 2) difference array alone is 1.4 GB."""
+    trap = trap_with(cv.NODE_SIN2, depth=0.0)
+    batch = np.random.default_rng(5).uniform(-60e-6, 60e-6, size=(1000, 600))
+    tracemalloc.start()
+    try:
+        cv.planar_energy_batch(batch, trap, species)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_coulomb_z_block_structure(species):
