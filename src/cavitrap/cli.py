@@ -194,6 +194,14 @@ def _need(cfg, key):
     return cfg[key]
 
 
+def _equilibria(n, cfg, trap, species, seed, threads):
+    """find_equilibria for n ions with the config's n_restarts (default 50)."""
+    return find_equilibria(
+        n, trap, species,
+        n_restarts=int(cfg.get("n_restarts", 50)), seed=seed, threads=threads,
+    )
+
+
 def _laser_omega(trap):
     return 2.0 * math.pi * CONST.speed_of_light / trap.optical.wavelength
 
@@ -204,10 +212,7 @@ def _laser_omega(trap):
 
 def _task_equilibrate(cfg, trap, species, seed, threads, out):
     n = int(_need(cfg, "n_ions"))
-    eqs = find_equilibria(
-        n, trap, species,
-        n_restarts=int(cfg.get("n_restarts", 50)), seed=seed, threads=threads,
-    )
+    eqs = _equilibria(n, cfg, trap, species, seed, threads)
     outputs, warnings = [], []
     summary_rows = []
     sidecar = []
@@ -249,11 +254,7 @@ def _task_equilibrate(cfg, trap, species, seed, threads, out):
 
 def _task_modes(cfg, trap, species, seed, threads, out):
     n = int(_need(cfg, "n_ions"))
-    eqs = find_equilibria(
-        n, trap, species,
-        n_restarts=int(cfg.get("n_restarts", 50)), seed=seed, threads=threads,
-    )
-    eq = eqs[0]
+    eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
     spectrum = label_modes(normal_modes(eq, trap, species), eq)
     rows = [
         [
@@ -336,10 +337,7 @@ def _task_waist_scan(cfg, trap, species, seed, threads, out):
 
 def _task_barrier(cfg, trap, species, seed, threads, out):
     n = int(_need(cfg, "n_ions"))
-    eqs = find_equilibria(
-        n, trap, species,
-        n_restarts=int(cfg.get("n_restarts", 50)), seed=seed, threads=threads,
-    )
+    eqs = _equilibria(n, cfg, trap, species, seed, threads)
     if len(eqs) < 2:
         raise DomainError(
             f"single equilibrium for N = {n}; no barrier to compute"
@@ -398,11 +396,7 @@ def _task_barrier(cfg, trap, species, seed, threads, out):
 
 def _task_spin(cfg, trap, species, seed, threads, out):
     n = int(_need(cfg, "n_ions"))
-    eqs = find_equilibria(
-        n, trap, species,
-        n_restarts=int(cfg.get("n_restarts", 50)), seed=seed, threads=threads,
-    )
-    eq = eqs[0]
+    eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
     spectrum = normal_modes(eq, trap, species)
     z_max = spectrum.omega[spectrum.select("out_of_plane")].max()
 
@@ -546,11 +540,7 @@ def _task_table_one(cfg, trap, species, seed, threads, out):
     warnings = []
     for idx, n in enumerate(TABLE_ONE_N):
         try:
-            eq = find_equilibria(
-                n, trap, species,
-                n_restarts=int(cfg.get("n_restarts", 50)),
-                seed=seed, threads=threads,
-            )[0]
+            eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
             w0 = (
                 explicit[idx] * 1e-6
                 if explicit is not None
@@ -599,17 +589,8 @@ _TASK_IMPL = {
     "table-one": _task_table_one,
 }
 
-# accept the config-file task spellings too
-_TASK_ALIASES = {
-    "Equilibrate": "equilibrate",
-    "Modes": "modes",
-    "TransitionScan": "transition-scan",
-    "WaistScan": "waist-scan",
-    "Barrier": "barrier",
-    "Spin": "spin",
-    "Lifetime": "lifetime",
-    "TableOne": "table-one",
-}
+# accept the config-file task spellings too: "transition-scan" -> "TransitionScan"
+_TASK_ALIASES = {name.title().replace("-", ""): name for name in TASKS}
 
 
 def run(config_path, task=None, seed=None, threads=None, out_dir=None):

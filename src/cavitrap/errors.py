@@ -34,7 +34,8 @@ class ConvergenceError(CavitrapError):
 
 
 class BracketError(ConvergenceError):
-    """Root bracketing failed: no sign change in the scanned interval."""
+    """No finite transition point: an ion sees no lattice curvature at
+    double precision (c_i <= eps max c), so no depth stabilizes the plane."""
 
 
 class SamplingError(ConvergenceError):

@@ -1,13 +1,21 @@
 """2D-3D structural transition points and their scaling with N and waist.
 
-The transition is located where the softest out-of-plane mode frequency
-crosses zero while the in-plane equilibrium is held fixed and the optical
-depth (hence the aspect ratio alpha = omega_z / omega_r) is scanned. The
-z block is linear in the depth, so the scan only rebuilds a diagonal:
-K(alpha) = A/m + diag(U(alpha) c_i / m - omega_z_dc^2) with A the Coulomb
-z block and c_i the per-ion lattice curvature per unit depth.
+The transition is where the softest out-of-plane mode of a fixed in-plane
+equilibrium goes soft as the optical depth, and with it the aspect ratio
+alpha = omega_z / omega_r, is lowered. The z block is linear in the depth,
 
-In the uniform-waist limit (c_i identical) the root has a closed form,
+    M(alpha) = A + U(alpha) diag(c) - m omega_z_dc^2 I,
+
+with A the Coulomb z block and c_i > 0 the per-ion lattice curvature per
+unit depth, and U(alpha) = U0 + alpha^2 U1 is linear in alpha^2
+(core.depth_for_aspect). M is positive definite exactly when
+alpha^2 > lambda_max(m omega_z_dc^2 I - A - U0 diag(c), U1 diag(c)), and
+because diag(c) is diagonal that generalized eigenvalue is one symmetric
+eigensolve of the pencil scaled by 1 / sqrt(U1 c_i). An ion the beam
+does not reach at double precision (c_i <= eps max c) leaves no finite
+answer, and find_alpha_tr raises BracketError.
+
+In the uniform-waist limit (c_i identical) this reduces to the closed form
 alpha_tr = sqrt(max eig(-A/m)) / omega_r, kept here as a cross-check.
 """
 
@@ -18,13 +26,8 @@ import numpy as np
 
 from .core import ANTINODE_COS2, depth_for_aspect
 from .equilibrium import find_equilibria
-from .errors import BracketError, FitError
+from .errors import BracketError, CavitrapError, FitError
 from .potential import coulomb_z_block, optical_z_curvature
-
-BRACKET_START = 0.5
-BRACKET_GROW = 1.5
-BRACKET_MAX = 10.0
-ALPHA_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,43 +45,24 @@ class PowerLawFit:
     residual: float  # RMS in log space
 
 
-def _softest_z_eig(a_over_m, curv_per_depth, trap, species, alpha):
-    depth = depth_for_aspect(trap, species, alpha)
-    diag = depth * curv_per_depth / species.mass - trap.omega_z_dc**2
-    return np.linalg.eigvalsh(a_over_m + np.diag(diag))[0]
-
-
-def find_alpha_tr(eq, trap, species, rel_tol=ALPHA_REL_TOL):
-    """Transition aspect ratio of one configuration by bracketed bisection."""
+def find_alpha_tr(eq, trap, species):
+    """Transition aspect ratio of one configuration from one eigensolve."""
     xy = eq.xy
     if len(xy) == 1:
         return TransitionPoint(1, 0.0, eq.stability, math.inf)
-    a_over_m = coulomb_z_block(xy) / species.mass
     curv = optical_z_curvature(xy, trap.optical)
-    f = lambda alpha: _softest_z_eig(a_over_m, curv, trap, species, alpha)
-
-    lo = hi = BRACKET_START
-    if f(hi) < 0.0:
-        while f(hi) < 0.0:
-            lo = hi
-            hi *= BRACKET_GROW
-            if hi > BRACKET_MAX:
-                raise BracketError(
-                    f"no transition found for alpha in [0, {BRACKET_MAX}]"
-                )
-    else:
-        while f(lo) > 0.0:
-            hi = lo
-            lo /= BRACKET_GROW
-            if lo < 1e-6:
-                raise BracketError("transition point below alpha = 1e-6")
-    while (hi - lo) > rel_tol * (0.5 * (hi + lo)):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    if curv.min() <= np.finfo(float).eps * curv.max():
+        raise BracketError(
+            f"ion {int(curv.argmin())} sees lattice curvature "
+            f"{curv.min() / curv.max():.1e} of the peak; no finite transition point"
+        )
+    u0 = depth_for_aspect(trap, species, 0.0)
+    u1 = depth_for_aspect(trap, species, 1.0) - u0
+    lhs = -coulomb_z_block(xy)
+    lhs[np.diag_indices(len(xy))] += species.mass * trap.omega_z_dc**2 - u0 * curv
+    scale = 1.0 / np.sqrt(u1 * curv)
+    alpha_sq = np.linalg.eigvalsh(scale[:, None] * lhs * scale[None, :])[-1]
+    alpha = math.sqrt(max(alpha_sq, 0.0))  # <= 0: the plane holds at alpha = 0
     r_max = float(np.linalg.norm(xy - xy.mean(axis=0), axis=1).max())
     return TransitionPoint(
         n_ions=len(xy),
@@ -128,7 +112,7 @@ def transition_scan(n_values, trap, species, n_restarts=12, seed=0, threads=None
 
 
 def waist_sweep(n_ions, trap, species, w0_values, n_restarts=12, seed=0):
-    """alpha_tr versus waist; per-point failures are recorded, not raised.
+    """alpha_tr versus waist; per-point toolkit errors are recorded, not raised.
 
     Returns a list of (w0, TransitionPoint or None, error message or None).
     For the node_sin2 lattice the planar equilibrium is waist independent
@@ -149,6 +133,6 @@ def waist_sweep(n_ions, trap, species, w0_values, n_restarts=12, seed=0):
                     n_ions, trap_w, species, n_restarts=n_restarts, seed=seed
                 )[0]
             records.append((w0, find_alpha_tr(eq, trap_w, species), None))
-        except Exception as exc:  # per-point isolation by design
+        except CavitrapError as exc:
             records.append((w0, None, f"{type(exc).__name__}: {exc}"))
     return records

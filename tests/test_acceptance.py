@@ -374,12 +374,12 @@ def test_criterion_9_property_suite(bare_trap_100, species, eq10_100,
     ortho_err = np.abs(gram - np.eye(30)).max()
     ortho_ok = ortho_err < 1e-10
 
-    # bisection vs uniform-waist shortcut at an effectively flat beam
+    # eigensolve vs uniform-waist shortcut at an effectively flat beam
     wide = bare_trap_100.with_waist(50e-3)
-    a_bis = cv.find_alpha_tr(eq, wide, species).alpha_tr
+    a_eig = cv.find_alpha_tr(eq, wide, species).alpha_tr
     a_uni = cv.alpha_tr_uniform(eq, wide, species)
-    bis_err = abs(a_bis - a_uni) / a_uni
-    bis_ok = bis_err < 1e-4
+    eig_err = abs(a_eig - a_uni) / a_uni
+    eig_ok = eig_err < 1e-4
 
     # two-ion spacing closed form
     eq2 = cv.find_equilibria(2, bare_trap_100, species, n_restarts=6, seed=0)[0]
@@ -407,13 +407,13 @@ def test_criterion_9_property_suite(bare_trap_100, species, eq10_100,
         ))
     rerun_ok = blobs[0] == blobs[1]
 
-    ok = all([grad_ok, sym_ok, decouple_ok, ortho_ok, bis_ok, two_ok, rerun_ok])
+    ok = all([grad_ok, sym_ok, decouple_ok, ortho_ok, eig_ok, two_ok, rerun_ok])
     report(
         9, "property suite", ok,
         f"grad FD {grad_err:.1e}; Hessian symmetric {sym_ok}, z-decoupled "
-        f"{decouple_ok}; orthonormality {ortho_err:.1e}; bisection vs "
-        f"shortcut {bis_err:.1e}; two-ion {two_err:.1e}; reruns identical "
+        f"{decouple_ok}; orthonormality {ortho_err:.1e}; eigensolve vs "
+        f"shortcut {eig_err:.1e}; two-ion {two_err:.1e}; reruns identical "
         f"{rerun_ok}",
     )
     assert grad_ok and sym_ok and decouple_ok
-    assert ortho_ok and bis_ok and two_ok and rerun_ok
+    assert ortho_ok and eig_ok and two_ok and rerun_ok

@@ -197,6 +197,28 @@ def test_unknown_task_rejected(tmp_path):
         cli.run(str(cfg_path))
 
 
+@pytest.mark.parametrize("spelling, task", [
+    ("Equilibrate", "equilibrate"),
+    ("Modes", "modes"),
+    ("TransitionScan", "transition-scan"),
+    ("WaistScan", "waist-scan"),
+    ("Barrier", "barrier"),
+    ("Spin", "spin"),
+    ("Lifetime", "lifetime"),
+    ("TableOne", "table-one"),
+])
+def test_camelcase_task_alias_resolves(spelling, task, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_TASK_IMPL", {
+        name: (lambda *args, name=name: ran.append(name) or ([], []))
+        for name in cli.TASKS
+    })
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, task=spelling, output_dir=str(tmp_path / "out"))
+    cli.run(str(cfg_path))
+    assert ran == [task]
+
+
 def test_console_script_smoke(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", n_ions=2, omega_r_mhz=0.5,

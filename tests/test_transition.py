@@ -9,26 +9,41 @@ from cavitrap.modes import normal_modes, out_of_plane_lowest
 OMEGA_R = 2.0 * math.pi * 0.5e6
 
 
-def test_bisection_matches_uniform_shortcut(eq10_21, bare_trap_21, species):
-    """At waist >> crystal the bisection root must land on the analytic
+@pytest.fixture(scope="module")
+def eq30_21(bare_trap_21, species):
+    return cv.find_equilibria(30, bare_trap_21, species, n_restarts=6, seed=0)
+
+
+def test_eigensolve_matches_uniform_shortcut(eq10_21, bare_trap_21, species):
+    """At waist >> crystal the direct solve must land on the analytic
     largest-eigenvalue expression."""
     trap = bare_trap_21.with_waist(50e-3)
     eq = eq10_21[0]
     point = cv.find_alpha_tr(eq, trap, species)
     shortcut = cv.alpha_tr_uniform(eq, trap, species)
-    assert abs(point.alpha_tr - shortcut) / shortcut < 1e-4
+    assert abs(point.alpha_tr - shortcut) / shortcut < 1e-7
 
 
-def test_alpha_tr_brackets_soft_mode_sign(eq10_21, bare_trap_21, species):
-    eq = eq10_21[0]
-    point = cv.find_alpha_tr(eq, bare_trap_21, species)
+@pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
+@pytest.mark.parametrize("crystal, w0, alpha_min", [
+    pytest.param("eq10_21", 21e-6, 0.0, id="n10_w21um"),
+    pytest.param("eq30_21", 9e-6, 10.0, id="n30_w9um"),  # alpha_tr ~ 20
+])
+def test_alpha_tr_brackets_soft_mode_sign(crystal, w0, alpha_min, variant,
+                                          species, request):
+    """The softest out-of-plane mode buckles just below alpha_tr and not
+    above, also far past alpha = 10 for a beam narrower than the crystal."""
+    eq = request.getfixturevalue(crystal)[0]
+    trap = cv.make_trap(OMEGA_R, cv.OpticalTrapConfig(1064e-9, w0, 0.0, variant))
+    point = cv.find_alpha_tr(eq, trap, species)
     assert point.stability == cv.STABLE
-    assert point.w0_over_rmax == pytest.approx(21e-6 / eq.r_max, rel=1e-12)
+    assert point.w0_over_rmax == pytest.approx(w0 / eq.r_max, rel=1e-12)
+    assert point.alpha_tr > alpha_min
     for factor, should_buckle in ((0.98, True), (1.02, False)):
-        trap = bare_trap_21.with_depth(
-            cv.depth_for_aspect(bare_trap_21, species, factor * point.alpha_tr)
+        deep = trap.with_depth(
+            cv.depth_for_aspect(trap, species, factor * point.alpha_tr)
         )
-        _, imag = out_of_plane_lowest(normal_modes(eq, trap, species))
+        _, imag = out_of_plane_lowest(normal_modes(eq, deep, species))
         assert imag == should_buckle
 
 
@@ -103,6 +118,14 @@ def test_waist_sweep_records_per_point(bare_trap_21, species):
         assert error is None
         assert point.alpha_tr > 0
     assert records[0][1].alpha_tr > records[1][1].alpha_tr
+
+
+def test_waist_sweep_records_bracket_error_and_continues(bare_trap_21, species):
+    records = cv.waist_sweep(30, bare_trap_21, species,
+                             [0.8e-6, 40e-6], n_restarts=6, seed=0)
+    (_, narrow, narrow_error), (_, wide, wide_error) = records
+    assert narrow is None and narrow_error.startswith("BracketError")
+    assert wide_error is None and wide.alpha_tr > 0
 
 
 def test_bracket_error_when_no_transition(species):
