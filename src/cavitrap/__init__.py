@@ -47,6 +47,7 @@ from .potential import (
     optical_z_curvature,
     planar_energy,
     planar_energy_batch,
+    planar_energy_gradient,
     planar_gradient,
     planar_hessian,
     total_energy,

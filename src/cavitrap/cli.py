@@ -148,36 +148,36 @@ def _build_trap(cfg, species):
     intensity_w_m2, power_w; default is zero depth.
     """
     if "omega_x_mhz" in cfg or "omega_y_mhz" in cfg:
-        omega_x = cfg["omega_x_mhz"] * MHZ
-        omega_y = cfg["omega_y_mhz"] * MHZ
+        omega_x = _number(cfg, "omega_x_mhz") * MHZ
+        omega_y = _number(cfg, "omega_y_mhz") * MHZ
     else:
-        omega_x = cfg.get("omega_r_mhz", 0.5) * MHZ
-        omega_y = omega_x * (1.0 + cfg.get("anisotropy", 0.0))
+        omega_x = _number(cfg, "omega_r_mhz", 0.5) * MHZ
+        omega_y = omega_x * (1.0 + _number(cfg, "anisotropy", 0.0))
 
     optical = OpticalTrapConfig(
-        wavelength=cfg.get("wavelength_nm", 1064.0) * 1e-9,
-        waist=cfg.get("waist_um", 100.0) * 1e-6,
+        wavelength=_number(cfg, "wavelength_nm", 1064.0) * 1e-9,
+        waist=_number(cfg, "waist_um", 100.0) * 1e-6,
         depth=0.0,
         lattice_variant=cfg.get("lattice_variant", "node_sin2"),
-        finesse=cfg.get("finesse", 3000.0),
-        input_power=cfg.get("power_w", 0.0),
+        finesse=_number(cfg, "finesse", 3000.0),
+        input_power=_number(cfg, "power_w", 0.0),
     )
     trap = TrapConfig(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
 
     if "depth_mk" in cfg:
-        depth = cfg["depth_mk"] * 1e-3 * CONST.boltzmann
+        depth = _number(cfg, "depth_mk") * 1e-3 * CONST.boltzmann
     elif "omega_z_mhz" in cfg:
         depth = depth_for_aspect(
-            trap, species, cfg["omega_z_mhz"] * MHZ / trap.omega_r
+            trap, species, _number(cfg, "omega_z_mhz") * MHZ / trap.omega_r
         )
     elif "intensity_w_m2" in cfg:
         kappa = stark_coefficient(
             species, 2.0 * math.pi * CONST.speed_of_light / optical.wavelength
         )
-        depth = kappa * cfg["intensity_w_m2"]
+        depth = kappa * _number(cfg, "intensity_w_m2")
     elif "power_w" in cfg:
         intensity = intensity_from_power(
-            cfg["power_w"], optical.finesse, optical.waist
+            _number(cfg, "power_w"), optical.finesse, optical.waist
         )
         kappa = stark_coefficient(
             species, 2.0 * math.pi * CONST.speed_of_light / optical.wavelength
@@ -194,11 +194,26 @@ def _need(cfg, key):
     return cfg[key]
 
 
+def _number(cfg, key, default=None, integer=False):
+    """Finite numeric config value, as int if integer; required if no default.
+
+    A value of the wrong type is a ValidationError naming the key. Float
+    keys come back unconverted: a config int echoed into a data file keeps
+    its form, so the file's bytes do not change.
+    """
+    value = _need(cfg, key) if default is None else cfg.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
+    return int(value) if integer else value
+
+
 def _equilibria(n, cfg, trap, species, seed, threads):
     """find_equilibria for n ions with the config's n_restarts (default 50)."""
     return find_equilibria(
         n, trap, species,
-        n_restarts=int(cfg.get("n_restarts", 50)), seed=seed, threads=threads,
+        n_restarts=_number(cfg, "n_restarts", 50, integer=True),
+        seed=seed, threads=threads,
     )
 
 
@@ -211,7 +226,7 @@ def _laser_omega(trap):
 
 
 def _task_equilibrate(cfg, trap, species, seed, threads, out):
-    n = int(_need(cfg, "n_ions"))
+    n = _number(cfg, "n_ions", integer=True)
     eqs = _equilibria(n, cfg, trap, species, seed, threads)
     outputs, warnings = [], []
     summary_rows = []
@@ -253,7 +268,7 @@ def _task_equilibrate(cfg, trap, species, seed, threads, out):
 
 
 def _task_modes(cfg, trap, species, seed, threads, out):
-    n = int(_need(cfg, "n_ions"))
+    n = _number(cfg, "n_ions", integer=True)
     eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
     spectrum = label_modes(normal_modes(eq, trap, species), eq)
     rows = [
@@ -281,7 +296,8 @@ def _task_transition_scan(cfg, trap, species, seed, threads, out):
     n_values = _need(cfg, "n_ions_list")
     points = transition_scan(
         n_values, trap, species,
-        n_restarts=int(cfg.get("n_restarts", 12)), seed=seed, threads=threads,
+        n_restarts=_number(cfg, "n_restarts", 12, integer=True),
+        seed=seed, threads=threads,
     )
     rows = [
         [p.n_ions, _fmt(trap.optical.waist), _fmt(p.w0_over_rmax),
@@ -311,11 +327,11 @@ def _task_transition_scan(cfg, trap, species, seed, threads, out):
 
 
 def _task_waist_scan(cfg, trap, species, seed, threads, out):
-    n = int(_need(cfg, "n_ions"))
+    n = _number(cfg, "n_ions", integer=True)
     w0_values = [w * 1e-6 for w in _need(cfg, "w0_values_um")]
     records = waist_sweep(
         n, trap, species, w0_values,
-        n_restarts=int(cfg.get("n_restarts", 12)), seed=seed,
+        n_restarts=_number(cfg, "n_restarts", 12, integer=True), seed=seed,
     )
     rows, warnings = [], []
     for w0, point, error in records:
@@ -336,16 +352,16 @@ def _task_waist_scan(cfg, trap, species, seed, threads, out):
 
 
 def _task_barrier(cfg, trap, species, seed, threads, out):
-    n = int(_need(cfg, "n_ions"))
+    n = _number(cfg, "n_ions", integer=True)
     eqs = _equilibria(n, cfg, trap, species, seed, threads)
     if len(eqs) < 2:
         raise DomainError(
             f"single equilibrium for N = {n}; no barrier to compute"
         )
     params = BarrierWalkParams(
-        n_samples=int(cfg.get("n_samples", 1000)),
-        t_p=cfg.get("t_p_mk", 1.0) * 1e-3,
-        n_paths=int(cfg.get("n_paths", 10)),
+        n_samples=_number(cfg, "n_samples", 1000, integer=True),
+        t_p=_number(cfg, "t_p_mk", 1.0) * 1e-3,
+        n_paths=_number(cfg, "n_paths", 10, integer=True),
         seed=seed,
     )
     result = barrier_pair(eqs[0], eqs[1], params, trap, species)
@@ -395,17 +411,17 @@ def _task_barrier(cfg, trap, species, seed, threads, out):
 
 
 def _task_spin(cfg, trap, species, seed, threads, out):
-    n = int(_need(cfg, "n_ions"))
+    n = _number(cfg, "n_ions", integer=True)
     eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
     spectrum = normal_modes(eq, trap, species)
     z_max = spectrum.omega[spectrum.select("out_of_plane")].max()
 
-    recoil = photon_recoil(cfg.get("sdf_wavelength_nm", 355.0) * 1e-9, species)
-    rabi = cfg.get("rabi_khz", 50.0) * 2.0 * math.pi * 1e3
+    recoil = photon_recoil(_number(cfg, "sdf_wavelength_nm", 355.0) * 1e-9, species)
+    rabi = _number(cfg, "rabi_khz", 50.0) * 2.0 * math.pi * 1e3
     if "mu_mhz" in cfg:
-        mu = cfg["mu_mhz"] * MHZ
+        mu = _number(cfg, "mu_mhz") * MHZ
     else:
-        mu = cfg.get("mu_over_max", 1.002) * z_max
+        mu = _number(cfg, "mu_over_max", 1.002) * z_max
     drive = uniform_drive(n, mu, rabi, recoil)
     graph = compute_jij(spectrum, eq, drive)
     beta, resid = fit_beta(graph, eq)
@@ -457,10 +473,10 @@ def _task_spin(cfg, trap, species, seed, threads, out):
 
 
 def _task_lifetime(cfg, trap, species, seed, threads, out):
-    n = int(_need(cfg, "n_ions"))
+    n = _number(cfg, "n_ions", integer=True)
     omega_l = _laser_omega(trap)
     if "intensity_w_m2" in cfg:
-        intensity = cfg["intensity_w_m2"]
+        intensity = _number(cfg, "intensity_w_m2")
     elif trap.optical.depth > 0:
         intensity = trap.optical.depth / stark_coefficient(species, omega_l)
     else:
@@ -468,8 +484,8 @@ def _task_lifetime(cfg, trap, species, seed, threads, out):
     est = lifetime_estimate(species, omega_l, intensity, n)
 
     gas = load_gas(cfg.get("gas", "H2"))
-    pressure = cfg.get("pressure_mbar", 1e-11) * 100.0  # mbar to Pa
-    temperature = cfg.get("temperature_k", 300.0)
+    pressure = _number(cfg, "pressure_mbar", 1e-11) * 100.0  # mbar to Pa
+    temperature = _number(cfg, "temperature_k", 300.0)
     collision = langevin_rate(
         pressure, temperature, gas.polarizability, gas.mass, species
     )
@@ -603,7 +619,7 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
         task = _TASK_ALIASES[task]
     if task not in _TASK_IMPL:
         raise ValidationError(f"unknown task {task!r}; choose from {TASKS}")
-    seed = int(seed if seed is not None else cfg.get("seed", 0))
+    seed = int(seed) if seed is not None else _number(cfg, "seed", 0, integer=True)
     out = out_dir or cfg.get("output_dir", ".")
     os.makedirs(out, exist_ok=True)
 

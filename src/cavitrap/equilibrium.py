@@ -22,7 +22,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 
 from .core import CONST, characteristic_length
 from .errors import ConvergenceError, DomainError
-from .potential import planar_energy, planar_gradient, planar_hessian
+from .potential import planar_energy, planar_energy_gradient, planar_gradient
+from .potential import planar_hessian
 
 STABLE = "stable"
 METASTABLE = "metastable"
@@ -195,12 +196,13 @@ def _one_restart(n_ions, trap, species, seed, index, ell, echar, fchar, grad_tol
     phi = 2.0 * math.pi * rng.random(n_ions)
     x0 = np.column_stack([r * np.cos(phi), r * np.sin(phi)]).ravel()
 
-    fun = lambda y: planar_energy(y * ell, trap, species) / echar
-    jac = lambda y: planar_gradient(y * ell, trap, species) / fchar
+    def fun(y):  # energy and gradient from one pair pass, in scaled units
+        e, g = planar_energy_gradient(y * ell, trap, species)
+        return e / echar, g / fchar
     res = minimize(
         fun,
         x0 / ell,
-        jac=jac,
+        jac=True,
         method="L-BFGS-B",
         options=dict(maxiter=20000, ftol=1e-14, gtol=1e-7),
     )

@@ -5,6 +5,11 @@ Energy, analytic gradient, and analytic Hessian in full 3D coordinates
 by the equilibrium search and the barrier walks. Finite differences are
 deliberately absent here; they live in the test suite as oracles.
 
+All Coulomb terms share one pair pass: `_pair_distances` gives the
+difference vectors and separations, and `_coulomb_hessian` builds the
+Coulomb Hessian blocks from them in any dimension. The planar energy and
+gradient come from one such pass (`planar_energy_gradient`).
+
 The optical term for one ion is written as
 
     u = U * A(z) * E(x, y, z) * S(z)
@@ -48,13 +53,31 @@ def _as_points(coords, dim):
 
 def _pair_distances(pts):
     diff = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
+    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(r, np.inf)
     if r.min() < PAIR_DISTANCE_FLOOR:
         raise SingularConfigurationError(
             f"ion pair closer than {PAIR_DISTANCE_FLOOR:g} m"
         )
     return diff, r
+
+
+def _coulomb_hessian(diff, r):
+    """(dim*N, dim*N) Coulomb Hessian: pair blocks kq (I/r^3 - 3 d d^T / r^5)
+    for i != j, and minus the row sum of the pair blocks on the diagonal."""
+    n, _, dim = diff.shape
+    inv3 = 1.0 / r**3
+    inv5 = 1.0 / r**5
+    # outer product first so the block is symmetric to the last bit
+    outer = diff[:, :, :, None] * diff[:, :, None, :]
+    blocks = CONST.coulomb_coefficient * (
+        np.eye(dim)[None, None, :, :] * inv3[:, :, None, None]
+        - outer * (3.0 * inv5)[:, :, None, None]
+    )
+    idx = np.arange(n)
+    blocks[idx, idx] = 0.0
+    blocks[idx, idx] = -blocks.sum(axis=1)
+    return blocks.transpose(0, 2, 1, 3).reshape(dim * n, dim * n)
 
 
 def _lattice_terms(z, optical):
@@ -123,22 +146,7 @@ def hessian(coords, trap, species):
     pts = _as_points(coords, 3)
     n = len(pts)
     diff, r = _pair_distances(pts)
-    kq = CONST.coulomb_coefficient
-
-    # Coulomb pair blocks: H_ij = kq (I/r^3 - 3 d d^T / r^5) for i != j,
-    # diagonal blocks take minus the row sum of the pair blocks.
-    inv3 = 1.0 / r**3
-    inv5 = 1.0 / r**5
-    # outer product first so the block is symmetric to the last bit
-    outer = diff[:, :, :, None] * diff[:, :, None, :]
-    blocks = kq * (
-        np.eye(3)[None, None, :, :] * inv3[:, :, None, None]
-        - outer * (3.0 * inv5)[:, :, None, None]
-    )
-    idx = np.arange(n)
-    blocks[idx, idx] = 0.0
-    blocks[idx, idx] = -blocks.sum(axis=1)
-    hess = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    hess = _coulomb_hessian(diff, r)
 
     m = species.mass
     dc_diag = np.tile(
@@ -164,17 +172,16 @@ def hessian(coords, trap, species):
     u_xz = (-4.0 * x / q) * p * (g * s + sp - s * qp / q)
     u_yz = (-4.0 * y / q) * p * (g * s + sp - s * qp / q)
     u_zz = p * ((g**2 + g_z) * s + 2.0 * g * sp + spp)
-    for i in range(n):
-        b = 3 * i
-        hess[b, b] += u_xx[i]
-        hess[b + 1, b + 1] += u_yy[i]
-        hess[b + 2, b + 2] += u_zz[i]
-        hess[b, b + 1] += u_xy[i]
-        hess[b + 1, b] += u_xy[i]
-        hess[b, b + 2] += u_xz[i]
-        hess[b + 2, b] += u_xz[i]
-        hess[b + 1, b + 2] += u_yz[i]
-        hess[b + 2, b + 1] += u_yz[i]
+    d = 3 * np.arange(n)
+    hess[d, d] += u_xx
+    hess[d + 1, d + 1] += u_yy
+    hess[d + 2, d + 2] += u_zz
+    hess[d, d + 1] += u_xy
+    hess[d + 1, d] += u_xy
+    hess[d, d + 2] += u_xz
+    hess[d + 2, d] += u_xz
+    hess[d + 1, d + 2] += u_yz
+    hess[d + 2, d + 1] += u_yz
     return hess
 
 
@@ -194,20 +201,31 @@ def _planar_optical(pts2, optical):
     return u, q
 
 
-def planar_energy(xy, trap, species):
-    """Total potential of a planar configuration, flat (x1, y1, x2, ...) input."""
+def planar_energy_gradient(xy, trap, species):
+    """(total potential, flat 2N gradient) of a flat (x1, y1, x2, ...) planar
+    configuration, both from one pair pass."""
     pts = _as_points(xy, 2)
-    _, r = _pair_distances(pts)
+    diff, r = _pair_distances(pts)
     kq = CONST.coulomb_coefficient
     e = 0.5 * kq * np.sum(1.0 / r)
+    grad = -kq * np.sum(diff / r[:, :, None] ** 3, axis=1)
     m = species.mass
     e += 0.5 * m * np.sum(
         trap.omega_x_dc**2 * pts[:, 0] ** 2 + trap.omega_y_dc**2 * pts[:, 1] ** 2
     )
+    grad[:, 0] += m * trap.omega_x_dc**2 * pts[:, 0]
+    grad[:, 1] += m * trap.omega_y_dc**2 * pts[:, 1]
     planar_opt = _planar_optical(pts, trap.optical)
     if planar_opt is not None:
-        e += np.sum(planar_opt[0])
-    return float(e)
+        u, q = planar_opt
+        e += np.sum(u)
+        grad += (-4.0 * u / q)[:, None] * pts
+    return float(e), grad.ravel()
+
+
+def planar_energy(xy, trap, species):
+    """Total potential of a planar configuration, flat (x1, y1, x2, ...) input."""
+    return planar_energy_gradient(xy, trap, species)[0]
 
 
 def planar_energy_batch(xy_batch, trap, species):
@@ -238,51 +256,27 @@ def planar_energy_batch(xy_batch, trap, species):
 
 def planar_gradient(xy, trap, species):
     """In-plane gradient of the planar potential, flat 2N vector."""
-    pts = _as_points(xy, 2)
-    diff, r = _pair_distances(pts)
-    kq = CONST.coulomb_coefficient
-    grad = -kq * np.sum(diff / r[:, :, None] ** 3, axis=1)
-    m = species.mass
-    grad[:, 0] += m * trap.omega_x_dc**2 * pts[:, 0]
-    grad[:, 1] += m * trap.omega_y_dc**2 * pts[:, 1]
-    planar_opt = _planar_optical(pts, trap.optical)
-    if planar_opt is not None:
-        u, q = planar_opt
-        grad += (-4.0 * u / q)[:, None] * pts
-    return grad.ravel()
+    return planar_energy_gradient(xy, trap, species)[1]
 
 
 def planar_hessian(xy, trap, species):
     """In-plane Hessian of the planar potential, (2N, 2N)."""
     pts = _as_points(xy, 2)
-    n = len(pts)
     diff, r = _pair_distances(pts)
-    kq = CONST.coulomb_coefficient
-    inv3 = 1.0 / r**3
-    inv5 = 1.0 / r**5
-    outer = diff[:, :, :, None] * diff[:, :, None, :]
-    blocks = kq * (
-        np.eye(2)[None, None, :, :] * inv3[:, :, None, None]
-        - outer * (3.0 * inv5)[:, :, None, None]
-    )
-    idx = np.arange(n)
-    blocks[idx, idx] = 0.0
-    blocks[idx, idx] = -blocks.sum(axis=1)
-    hess = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    hess = _coulomb_hessian(diff, r)
     m = species.mass
-    hess[np.arange(0, 2 * n, 2), np.arange(0, 2 * n, 2)] += m * trap.omega_x_dc**2
-    hess[np.arange(1, 2 * n, 2), np.arange(1, 2 * n, 2)] += m * trap.omega_y_dc**2
+    d = 2 * np.arange(len(pts))
+    hess[d, d] += m * trap.omega_x_dc**2
+    hess[d + 1, d + 1] += m * trap.omega_y_dc**2
     planar_opt = _planar_optical(pts, trap.optical)
     if planar_opt is not None:
         u, q = planar_opt
-        for i in range(n):
-            x, y = pts[i]
-            b = 2 * i
-            hess[b, b] += (-4.0 * u[i] / q) * (1.0 - 4.0 * x**2 / q)
-            hess[b + 1, b + 1] += (-4.0 * u[i] / q) * (1.0 - 4.0 * y**2 / q)
-            off = u[i] * 16.0 * x * y / q**2
-            hess[b, b + 1] += off
-            hess[b + 1, b] += off
+        x, y = pts[:, 0], pts[:, 1]
+        hess[d, d] += (-4.0 * u / q) * (1.0 - 4.0 * x**2 / q)
+        hess[d + 1, d + 1] += (-4.0 * u / q) * (1.0 - 4.0 * y**2 / q)
+        off = u * 16.0 * x * y / q**2
+        hess[d, d + 1] += off
+        hess[d + 1, d] += off
     return hess
 
 

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,22 @@ def test_exit_3_on_missing_required_key(tmp_path, capsys):
     assert "n_ions" in diagnostic["message"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_ions", "ten"),
+    ("n_restarts", "many"),
+    ("omega_r_mhz", "fast"),
+])
+def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
+    cfg = dict(n_ions=4, omega_r_mhz=0.5, n_restarts=4)
+    cfg[key] = value
+    path = write_config(tmp_path / "cfg.json", **cfg)
+    code = cli.main(["equilibrate", "--config", path, "--out", str(tmp_path)])
+    assert code == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert key in diagnostic["message"]
+
+
 def test_exit_3_lifetime_without_intensity_or_depth(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", n_ions=10)
     code = cli.main(["lifetime", "--config", cfg, "--out", str(tmp_path)])
@@ -225,10 +243,14 @@ def test_console_script_smoke(tmp_path):
         waist_um=100.0, n_restarts=4,
     )
     out = tmp_path / "out"
+    # the child does not inherit pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cavitrap.cli", "equilibrate",
          "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "equilibria_summary.csv" in proc.stdout

@@ -143,6 +143,31 @@ def test_planar_agrees_with_embedded_3d(species, variant):
     )
 
 
+@pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
+def test_planar_derivatives_match_central_differences(species, variant):
+    """Independent oracle for the planar Coulomb, DC and optical derivatives."""
+    trap = trap_with(variant, depth=20e-3 * cv.CONST.boltzmann, anisotropy=0.07)
+    xy = scattered_points(5, np.random.default_rng(3), dim=2)
+    h = 3e-11
+    e, g = cv.planar_energy_gradient(xy, trap, species)
+    assert e == cv.planar_energy(xy, trap, species)
+    assert np.array_equal(g, cv.planar_gradient(xy, trap, species))
+    g_fd = np.empty_like(xy)
+    h_fd = np.empty((xy.size, xy.size))
+    for i in range(xy.size):
+        up, dn = xy.copy(), xy.copy()
+        up[i] += h
+        dn[i] -= h
+        e_up, g_up = cv.planar_energy_gradient(up, trap, species)
+        e_dn, g_dn = cv.planar_energy_gradient(dn, trap, species)
+        g_fd[i] = (e_up - e_dn) / (2 * h)
+        h_fd[i] = (g_up - g_dn) / (2 * h)
+    assert np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd) < 1e-6
+    h_fd = 0.5 * (h_fd + h_fd.T)
+    hess = cv.planar_hessian(xy, trap, species)
+    assert np.linalg.norm(hess - h_fd) / np.linalg.norm(h_fd) < 1e-5
+
+
 def test_batch_energy_matches_scalar(species):
     rng = np.random.default_rng(7)
     for variant in (cv.NODE_SIN2, cv.ANTINODE_COS2):
