@@ -75,6 +75,20 @@ def _xy_flat(config):
     return np.asarray(config, dtype=float).ravel().copy()
 
 
+def _endpoints(x0, xf, align):
+    """Flat start and target points; the target is aligned onto the start if align."""
+    start = _xy_flat(x0)
+    target = _xy_flat(xf)
+    if start.shape != target.shape:
+        raise DomainError("endpoint configurations differ in size")
+    if align:
+        aligned, _, _ = align_configurations(
+            start.reshape(-1, 2), target.reshape(-1, 2)
+        )
+        target = aligned.ravel()
+    return start, target
+
+
 def _sample_grey(x, xf, d, eps, n, rng):
     """Up to n points uniform on cube(x, eps) intersect ball(xf, |x-xf|-d).
 
@@ -151,16 +165,7 @@ def propose_step(x_i, x_f, params, rng, trap, species, energy_i=None):
 
 def optimize_path(x0, xf, params, trap, species, path_index=0):
     """One biased walk from x0 toward xf; returns the visited BarrierPath."""
-    start = _xy_flat(x0)
-    target = _xy_flat(xf)
-    if start.shape != target.shape:
-        raise DomainError("endpoint configurations differ in size")
-    if params.align:
-        aligned, _, _ = align_configurations(
-            start.reshape(-1, 2), target.reshape(-1, 2)
-        )
-        target = aligned.ravel()
-
+    start, target = _endpoints(x0, xf, params.align)
     dist = np.linalg.norm(start - target)
     if dist == 0.0:
         raise DomainError("endpoints are the same configuration")
@@ -217,10 +222,13 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     The minimum peak along any connecting path bounds the barrier as seen
     from either end, so one peak yields barrier_from_start (peak minus the
     start energy) and barrier_from_other (the same peak minus the other
-    configuration's energy), both in K.
+    configuration's energy), both in K. With params.align the target is
+    aligned onto the start once, and every path walks toward that target.
     """
+    _, target = _endpoints(eq_start, eq_other, params.align)
+    walk = replace(params, align=False)
     paths = [
-        optimize_path(eq_start, eq_other, params, trap, species, path_index=k)
+        optimize_path(eq_start, target, walk, trap, species, path_index=k)
         for k in range(params.n_paths)
     ]
     bound, best = barrier_upper_bound(paths)

@@ -202,10 +202,28 @@ def _number(cfg, key, default=None, integer=False):
     its form, so the file's bytes do not change.
     """
     value = _need(cfg, key) if default is None else cfg.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _is_number(value):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
     return int(value) if integer else value
+
+
+def _numbers(cfg, key, integer=False):
+    """Required list of finite numbers, each as int if integer.
+
+    Anything else is a ValidationError naming the key; float entries come
+    back unconverted, as in _number.
+    """
+    values = _need(cfg, key)
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ValidationError(
+            f"config key {key!r} must be a list of numbers, got {values!r}"
+        )
+    return [int(v) for v in values] if integer else values
+
+
+def _is_number(value):
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
 
 
 def _equilibria(n, cfg, trap, species, seed, threads):
@@ -293,7 +311,7 @@ def _task_modes(cfg, trap, species, seed, threads, out):
 
 
 def _task_transition_scan(cfg, trap, species, seed, threads, out):
-    n_values = _need(cfg, "n_ions_list")
+    n_values = _numbers(cfg, "n_ions_list", integer=True)
     points = transition_scan(
         n_values, trap, species,
         n_restarts=_number(cfg, "n_restarts", 12, integer=True),
@@ -328,7 +346,7 @@ def _task_transition_scan(cfg, trap, species, seed, threads, out):
 
 def _task_waist_scan(cfg, trap, species, seed, threads, out):
     n = _number(cfg, "n_ions", integer=True)
-    w0_values = [w * 1e-6 for w in _need(cfg, "w0_values_um")]
+    w0_values = [w * 1e-6 for w in _numbers(cfg, "w0_values_um")]
     records = waist_sweep(
         n, trap, species, w0_values,
         n_restarts=_number(cfg, "n_restarts", 12, integer=True), seed=seed,
@@ -449,7 +467,7 @@ def _task_spin(cfg, trap, species, seed, threads, out):
     sweep_rows = []
     warnings = []
     if "mu_over_max_list" in cfg:
-        mu_values = [f * z_max for f in cfg["mu_over_max_list"]]
+        mu_values = [f * z_max for f in _numbers(cfg, "mu_over_max_list")]
         for rec in beta_sweep(spectrum, eq, mu_values, drive):
             if rec["error"] is not None:
                 warnings.append(f"mu = {rec['mu']:.6e} rad/s skipped: {rec['error']}")
@@ -547,7 +565,9 @@ def _select_waist(eq, trap, species):
 
 
 def _task_table_one(cfg, trap, species, seed, threads, out):
-    explicit = cfg.get("waists_um")
+    explicit = (
+        _numbers(cfg, "waists_um") if cfg.get("waists_um") is not None else None
+    )
     if explicit is not None and len(explicit) != len(TABLE_ONE_N):
         raise ValidationError("waists_um must list one waist per N in (5,10,20,30)")
     omega_l = _laser_omega(trap)

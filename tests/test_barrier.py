@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import chisquare, ks_2samp
 
 import cavitrap as cv
+from cavitrap import barrier
 from cavitrap.barrier import _sample_grey
 
 KB = cv.CONST.boltzmann
@@ -201,6 +202,28 @@ def test_barrier_pair_consistency(five_ion_pair, bare_trap_21, species):
     assert b_m > 0  # the peak sits above the metastable minimum too
     assert result["n_converged"] == 4
     assert len(result["peaks"]) == 4
+
+
+def test_barrier_pair_aligns_once(five_ion_pair, bare_trap_21, species,
+                                  monkeypatch):
+    """One alignment per pair; the walks match per-path alignment exactly."""
+    params = cv.BarrierWalkParams(seed=1, n_paths=3, n_samples=200)
+    start, other = five_ion_pair[0], five_ion_pair[1]
+    per_path = [
+        cv.optimize_path(start, other, params, bare_trap_21, species,
+                         path_index=k).peak_energy
+        for k in range(params.n_paths)
+    ]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cv.align_configurations(*args, **kwargs)
+
+    monkeypatch.setattr(barrier, "align_configurations", counted)
+    result = cv.barrier_pair(start, other, params, bare_trap_21, species)
+    assert len(calls) == 1
+    assert result["peaks"] == per_path
 
 
 def test_walk_endpoint_mismatch(five_ion_pair, bare_trap_21, species):

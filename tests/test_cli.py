@@ -136,6 +136,38 @@ def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
     assert key in diagnostic["message"]
 
 
+@pytest.mark.parametrize("task, extra, key", [
+    pytest.param("transition-scan", dict(n_ions_list=[5, "ten"]), "n_ions_list",
+                 id="n_ions_list-entry"),
+    pytest.param("transition-scan", dict(n_ions_list=5), "n_ions_list",
+                 id="n_ions_list-scalar"),
+    pytest.param("waist-scan", dict(n_ions=3, w0_values_um=[20.0, None]),
+                 "w0_values_um", id="w0_values_um-entry"),
+    pytest.param("spin", dict(n_ions=3, mu_over_max_list=[1.01, True]),
+                 "mu_over_max_list", id="mu_over_max_list-entry"),
+    pytest.param("table-one", dict(waists_um=5), "waists_um", id="waists_um-scalar"),
+    pytest.param("table-one", dict(waists_um=[10, 20, "x", 40]), "waists_um",
+                 id="waists_um-entry"),
+])
+def test_exit_3_on_wrongly_typed_list(tmp_path, capsys, task, extra, key):
+    path = write_config(
+        tmp_path / "cfg.json", omega_r_mhz=0.5, omega_z_mhz=2.0, waist_um=21.0,
+        n_restarts=2, **extra,
+    )
+    code = cli.main([task, "--config", path, "--out", str(tmp_path)])
+    assert code == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert key in diagnostic["message"]
+
+
+def test_valid_lists_pass_unconverted():
+    values = [5, 10.0, 2.5e-3]
+    assert cli._numbers({"k": values}, "k") is values
+    ints = cli._numbers({"k": [5, 10.0]}, "k", integer=True)
+    assert ints == [5, 10] and all(type(v) is int for v in ints)
+
+
 def test_exit_3_lifetime_without_intensity_or_depth(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", n_ions=10)
     code = cli.main(["lifetime", "--config", cfg, "--out", str(tmp_path)])

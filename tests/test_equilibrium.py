@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import cavitrap as cv
 from cavitrap.equilibrium import GEOMETRY_MATCH_TOL
@@ -101,6 +103,103 @@ def test_align_distinguishes_configurations(eq10_21, bare_trap_21, species):
     ell = cv.characteristic_length(species, bare_trap_21.omega_r)
     _, _, rms = cv.align_configurations(eq10_21[0].xy, eq10_21[1].xy)
     assert rms > GEOMETRY_MATCH_TOL * ell
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _reference_scan(reference, other, n_angles=96):
+    """Each orientation of a one-by-one coarse scan, in order: (rms, points, cols)."""
+    flip = np.array([[1.0, 0.0], [0.0, -1.0]])
+    scan = []
+    for reflect in (False, True):
+        base = other @ flip if reflect else other
+        for angle in np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False):
+            cand = base @ _rotation(angle).T
+            cost = np.sum((reference[:, None, :] - cand[None, :, :]) ** 2, axis=-1)
+            rows, cols = linear_sum_assignment(cost)
+            scan.append((math.sqrt(cost[rows, cols].mean()), cand, cols))
+    return scan
+
+
+def _reference_align(reference, other):
+    """Oracle: the first orientation of smallest rms, then the Procrustes polish."""
+    rms, cand, perm = min(_reference_scan(reference, other), key=lambda item: item[0])
+    aligned = cand[perm]
+    for _ in range(10):
+        u, _, vt = np.linalg.svd(aligned.T @ reference)
+        aligned = aligned @ (u @ vt)
+        cost = np.sum((reference[:, None, :] - aligned[None, :, :]) ** 2, axis=-1)
+        rows, cols = linear_sum_assignment(cost)
+        new_rms = math.sqrt(cost[rows, cols].mean())
+        aligned = aligned[cols]
+        perm = perm[cols]
+        if new_rms >= rms * (1.0 - 1e-12):
+            rms = min(rms, new_rms)
+            break
+        rms = new_rms
+    return aligned, perm, rms
+
+
+def _assert_same_alignment(ref, other):
+    got = cv.align_configurations(ref, other)
+    want = _reference_align(ref, other)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (1, 40), (2, 40), (3, 40), (6, 30), (9, 30), (20, 12), (30, 8), (60, 4),
+])
+def test_align_bitwise_matches_one_by_one_scan(n, pairs):
+    """Turned, mirrored, relabelled and noisy copies, unit spacing times scale."""
+    rng = np.random.default_rng(n)
+    for k in range(pairs):
+        scale = 10.0 ** rng.uniform(-7.0, 0.0)
+        ref = rng.normal(size=(n, 2)) * math.sqrt(n) * scale
+        rot = _rotation(rng.uniform(0.0, 2.0 * math.pi))
+        if rng.random() < 0.5:
+            rot = rot @ np.diag([1.0, -1.0])
+        noise = 0.0 if k % 4 == 0 else rng.uniform(0.0, 3.0)
+        other = (ref @ rot.T)[rng.permutation(n)]
+        other += noise * scale * rng.normal(size=(n, 2))
+        _assert_same_alignment(ref, other)
+
+
+def test_align_tie_goes_to_first_orientation():
+    """A (1,5) crystal symmetric under y -> -y ties both parities at every angle."""
+    angles = 2.0 * math.pi * np.arange(1, 3) / 5.0
+    ref = np.array([[0.0, 0.0], [1.0, 0.0]] + [
+        [math.cos(a), sign * math.sin(a)] for a in angles for sign in (1.0, -1.0)
+    ])
+    rng = np.random.default_rng(3)
+    shift = 0.05 * rng.normal(size=(4, 2))
+    other = ref.copy()
+    other[:2, 0] += shift[:2, 0]  # on-axis ions move along the axis only
+    for pair, (dx, dy) in zip(((2, 3), (4, 5)), shift[2:]):
+        other[pair[0]] += (dx, dy)
+        other[pair[1]] += (dx, -dy)
+    other = other[rng.permutation(6)]
+    rms = [item[0] for item in _reference_scan(ref, other)]
+    assert rms.count(min(rms)) >= 2
+    _assert_same_alignment(ref, other)
+
+
+def test_align_memory_bounded():
+    """N = 300: one stack of all 192 cost matrices would take 138 MB."""
+    rng = np.random.default_rng(4)
+    ref = rng.normal(size=(300, 2)) * math.sqrt(300)
+    other = (ref @ _rotation(1.0).T)[rng.permutation(300)]
+    tracemalloc.start()
+    try:
+        cv.align_configurations(ref, other)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ring_configuration_rotation_invariant(eq10_21):
