@@ -197,33 +197,36 @@ def _need(cfg, key):
 def _number(cfg, key, default=None, integer=False):
     """Finite numeric config value, as int if integer; required if no default.
 
-    A value of the wrong type is a ValidationError naming the key. Float
-    keys come back unconverted: a config int echoed into a data file keeps
-    its form, so the file's bytes do not change.
+    A value of the wrong type, or a non-integral value of an integer key,
+    is a ValidationError naming the key; an integral float such as 5.0
+    counts as 5. Float keys come back unconverted: a config int echoed
+    into a data file keeps its form, so the file's bytes do not change.
     """
     value = _need(cfg, key) if default is None else cfg.get(key, default)
-    if not _is_number(value):
-        raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
+    if not _is_number(value, integer):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
     return int(value) if integer else value
 
 
 def _numbers(cfg, key, integer=False):
     """Required list of finite numbers, each as int if integer.
 
-    Anything else is a ValidationError naming the key; float entries come
-    back unconverted, as in _number.
+    Anything else is a ValidationError naming the key, as in _number;
+    float entries come back unconverted.
     """
     values = _need(cfg, key)
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+    if not isinstance(values, list) or not all(_is_number(v, integer) for v in values):
+        kind = "integers" if integer else "numbers"
         raise ValidationError(
-            f"config key {key!r} must be a list of numbers, got {values!r}"
+            f"config key {key!r} must be a list of {kind}, got {values!r}"
         )
     return [int(v) for v in values] if integer else values
 
 
-def _is_number(value):
+def _is_number(value, integer=False):
     return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
+            and math.isfinite(value) and (not integer or value == int(value)))
 
 
 def _equilibria(n, cfg, trap, species, seed, threads):

@@ -22,8 +22,8 @@ from scipy.optimize import linear_sum_assignment, minimize
 
 from .core import CONST, characteristic_length
 from .errors import ConvergenceError, DomainError
-from .potential import planar_energy, planar_energy_gradient, planar_gradient
-from .potential import planar_hessian
+from .potential import _pair_distances, planar_energy, planar_energy_gradient
+from .potential import planar_gradient, planar_hessian
 
 STABLE = "stable"
 METASTABLE = "metastable"
@@ -190,9 +190,7 @@ def crystal_metrics(xy):
     if len(pts) < 2:
         raise DomainError("d_min needs at least two ions")
     r_max = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(r, np.inf)
+    _, r = _pair_distances(pts)
     return r_max, float(r.min())
 
 

@@ -5,10 +5,12 @@ Energy, analytic gradient, and analytic Hessian in full 3D coordinates
 by the equilibrium search and the barrier walks. Finite differences are
 deliberately absent here; they live in the test suite as oracles.
 
-All Coulomb terms share one pair pass: `_pair_distances` gives the
-difference vectors and separations, and `_coulomb_hessian` builds the
-Coulomb Hessian blocks from them in any dimension. The planar energy and
-gradient come from one such pass (`planar_energy_gradient`).
+All Coulomb terms share one pair pass in per-axis form: `_pair_distances`
+gives one contiguous (N, N) difference matrix per coordinate and the
+separations, and `_coulomb_gradient` and `_coulomb_hessian` work on those
+in any dimension. No (N, N, dim) array is built, because numpy walks a
+short trailing axis element by element. The planar energy and gradient
+come from one such pass (`planar_energy_gradient`).
 
 The optical term for one ion is written as
 
@@ -52,32 +54,53 @@ def _as_points(coords, dim):
 
 
 def _pair_distances(pts):
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    """Per-axis pair geometry of (N, dim) points: (d, r).
+
+    d[k, i, j] = p[j, k] - p[i, k], so each d[k] is one contiguous (N, N)
+    matrix, and r[i, j] = |p_j - p_i|, +inf on the diagonal.
+    """
+    c = np.ascontiguousarray(pts.T)
+    d = c[:, None, :] - c[:, :, None]
+    r = d[0] * d[0]
+    for dk in d[1:]:
+        r += dk * dk
+    np.sqrt(r, out=r)
     np.fill_diagonal(r, np.inf)
     if r.min() < PAIR_DISTANCE_FLOOR:
         raise SingularConfigurationError(
             f"ion pair closer than {PAIR_DISTANCE_FLOOR:g} m"
         )
-    return diff, r
+    return d, r
 
 
-def _coulomb_hessian(diff, r):
+def _coulomb_gradient(d, r):
+    """(N, dim) Coulomb gradient, -kq sum_j (p_i - p_j) / r^3 for each ion i.
+
+    The sum over d[k, j, i] = p_i - p_j adds the ions j in order, one row
+    at a time, so it rounds like a sequential sum over j.
+    """
+    return (-CONST.coulomb_coefficient * (d / r**3).sum(axis=1)).T
+
+
+def _coulomb_hessian(d, r):
     """(dim*N, dim*N) Coulomb Hessian: pair blocks kq (I/r^3 - 3 d d^T / r^5)
-    for i != j, and minus the row sum of the pair blocks on the diagonal."""
-    n, _, dim = diff.shape
+    for i != j, and minus the row sum of the pair blocks on the diagonal.
+
+    Each of the dim^2 blocks is an (N, N) matrix, symmetric to the last bit,
+    so its column sums are its row sums.
+    """
+    dim, n = len(d), len(r)
+    kq = CONST.coulomb_coefficient
     inv3 = 1.0 / r**3
-    inv5 = 1.0 / r**5
-    # outer product first so the block is symmetric to the last bit
-    outer = diff[:, :, :, None] * diff[:, :, None, :]
-    blocks = CONST.coulomb_coefficient * (
-        np.eye(dim)[None, None, :, :] * inv3[:, :, None, None]
-        - outer * (3.0 * inv5)[:, :, None, None]
-    )
-    idx = np.arange(n)
-    blocks[idx, idx] = 0.0
-    blocks[idx, idx] = -blocks.sum(axis=1)
-    return blocks.transpose(0, 2, 1, 3).reshape(dim * n, dim * n)
+    three_inv5 = 3.0 * (1.0 / r**5)
+    hess = np.empty((n, dim, n, dim))
+    for k in range(dim):
+        for l in range(k, dim):
+            block = kq * ((inv3 if k == l else 0.0) - d[k] * d[l] * three_inv5)
+            np.fill_diagonal(block, -block.sum(axis=0))
+            hess[:, k, :, l] = block
+            hess[:, l, :, k] = block
+    return hess.reshape(dim * n, dim * n)
 
 
 def _lattice_terms(z, optical):
@@ -119,9 +142,8 @@ def total_energy(coords, trap, species):
 def gradient(coords, trap, species):
     """Analytic gradient of the total potential, flat 3N vector in J/m."""
     pts = _as_points(coords, 3)
-    diff, r = _pair_distances(pts)
-    kq = CONST.coulomb_coefficient
-    grad = -kq * np.sum(diff / r[:, :, None] ** 3, axis=1)
+    d, r = _pair_distances(pts)
+    grad = _coulomb_gradient(d, r)
 
     m = species.mass
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -145,8 +167,7 @@ def hessian(coords, trap, species):
     """Analytic Hessian of the total potential, (3N, 3N) in J/m^2."""
     pts = _as_points(coords, 3)
     n = len(pts)
-    diff, r = _pair_distances(pts)
-    hess = _coulomb_hessian(diff, r)
+    hess = _coulomb_hessian(*_pair_distances(pts))
 
     m = species.mass
     dc_diag = np.tile(
@@ -205,10 +226,9 @@ def planar_energy_gradient(xy, trap, species):
     """(total potential, flat 2N gradient) of a flat (x1, y1, x2, ...) planar
     configuration, both from one pair pass."""
     pts = _as_points(xy, 2)
-    diff, r = _pair_distances(pts)
-    kq = CONST.coulomb_coefficient
-    e = 0.5 * kq * np.sum(1.0 / r)
-    grad = -kq * np.sum(diff / r[:, :, None] ** 3, axis=1)
+    d, r = _pair_distances(pts)
+    e = 0.5 * CONST.coulomb_coefficient * (1.0 / r).sum()
+    grad = _coulomb_gradient(d, r)
     m = species.mass
     e += 0.5 * m * np.sum(
         trap.omega_x_dc**2 * pts[:, 0] ** 2 + trap.omega_y_dc**2 * pts[:, 1] ** 2
@@ -232,24 +252,23 @@ def planar_energy_batch(xy_batch, trap, species):
     """planar_energy vectorized over rows of a (B, 2N) array.
 
     The Coulomb sum runs over ion i, pairing it with ions j > i across all
-    rows at once, so the largest temporary is (B, N - 1, 2) and memory
-    grows as B*N, not B*N^2.
+    rows at once on contiguous (B, N) x and y planes, so the largest
+    temporary is (B, N - 1) and memory grows as B*N, not B*N^2.
     """
     batch = np.asarray(xy_batch, dtype=float)
-    pts = batch.reshape(batch.shape[0], -1, 2)
-    inv_r = np.zeros(pts.shape[0])
-    for i in range(pts.shape[1] - 1):
-        diff = pts[:, i + 1 :, :] - pts[:, i, None, :]
-        inv_r += np.sum(1.0 / np.sqrt(np.einsum("bjk,bjk->bj", diff, diff)), axis=1)
+    x = np.ascontiguousarray(batch[:, 0::2])
+    y = np.ascontiguousarray(batch[:, 1::2])
+    inv_r = np.zeros(len(batch))
+    for i in range(x.shape[1] - 1):
+        dx = x[:, i + 1 :] - x[:, i, None]
+        dy = y[:, i + 1 :] - y[:, i, None]
+        inv_r += np.sum(1.0 / np.sqrt(dx * dx + dy * dy), axis=1)
     e = CONST.coulomb_coefficient * inv_r
     m = species.mass
-    e += 0.5 * m * np.sum(
-        trap.omega_x_dc**2 * pts[:, :, 0] ** 2 + trap.omega_y_dc**2 * pts[:, :, 1] ** 2,
-        axis=1,
-    )
+    e += 0.5 * m * np.sum(trap.omega_x_dc**2 * x**2 + trap.omega_y_dc**2 * y**2, axis=1)
     opt = trap.optical
     if opt.lattice_variant == ANTINODE_COS2 and opt.depth != 0.0:
-        rho2 = pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2
+        rho2 = x**2 + y**2
         e -= opt.depth * np.sum(np.exp(-2.0 * rho2 / opt.waist**2), axis=1)
     return e
 
@@ -262,8 +281,7 @@ def planar_gradient(xy, trap, species):
 def planar_hessian(xy, trap, species):
     """In-plane Hessian of the planar potential, (2N, 2N)."""
     pts = _as_points(xy, 2)
-    diff, r = _pair_distances(pts)
-    hess = _coulomb_hessian(diff, r)
+    hess = _coulomb_hessian(*_pair_distances(pts))
     m = species.mass
     d = 2 * np.arange(len(pts))
     hess[d, d] += m * trap.omega_x_dc**2

@@ -124,6 +124,8 @@ def test_exit_3_on_missing_required_key(tmp_path, capsys):
     ("n_ions", "ten"),
     ("n_restarts", "many"),
     ("omega_r_mhz", "fast"),
+    ("n_ions", 5.5),
+    ("n_restarts", 2.5),
 ])
 def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
     cfg = dict(n_ions=4, omega_r_mhz=0.5, n_restarts=4)
@@ -141,6 +143,8 @@ def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
                  id="n_ions_list-entry"),
     pytest.param("transition-scan", dict(n_ions_list=5), "n_ions_list",
                  id="n_ions_list-scalar"),
+    pytest.param("transition-scan", dict(n_ions_list=[10, 12.5]), "n_ions_list",
+                 id="n_ions_list-fraction"),
     pytest.param("waist-scan", dict(n_ions=3, w0_values_um=[20.0, None]),
                  "w0_values_um", id="w0_values_um-entry"),
     pytest.param("spin", dict(n_ions=3, mu_over_max_list=[1.01, True]),
@@ -159,6 +163,18 @@ def test_exit_3_on_wrongly_typed_list(tmp_path, capsys, task, extra, key):
     diagnostic = json.loads(capsys.readouterr().err.strip())
     assert diagnostic["error"] == "ValidationError"
     assert key in diagnostic["message"]
+
+
+def test_integral_float_count_runs_as_int(tmp_path):
+    outs = []
+    for n_ions in (5, 5.0):
+        path = write_config(tmp_path / "cfg.json", n_ions=n_ions, n_restarts=4)
+        out = tmp_path / repr(n_ions)
+        assert cli.main(["equilibrate", "--config", path, "--out", str(out)]) == 0
+        outs.append(out)
+    assert len(read_csv(outs[1] / "equilibrium_00.csv")) == 1 + 5
+    for fname in ("equilibria_summary.csv", "equilibrium_00.csv", "equilibria.json"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
 def test_valid_lists_pass_unconverted():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavitrap as cv
+from cavitrap import potential
 from cavitrap.potential import coulomb_z_block, optical_z_curvature
 
 RNG = np.random.default_rng(7)
@@ -196,6 +197,120 @@ def test_batch_energy_memory_linear_in_ions(species):
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+# The stacked-axis pair pass the per-axis kernels replaced, kept as the oracle
+# of test_pair_kernels_bitwise_match_stacked_axis_oracle.
+
+
+def stacked_pair_distances(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(r, np.inf)
+    return diff, r
+
+
+def stacked_coulomb_gradient(diff, r):
+    return -cv.CONST.coulomb_coefficient * np.sum(diff / r[:, :, None] ** 3, axis=1)
+
+
+def stacked_coulomb_hessian(diff, r):
+    n, _, dim = diff.shape
+    inv3 = 1.0 / r**3
+    inv5 = 1.0 / r**5
+    outer = diff[:, :, :, None] * diff[:, :, None, :]
+    blocks = cv.CONST.coulomb_coefficient * (
+        np.eye(dim)[None, None, :, :] * inv3[:, :, None, None]
+        - outer * (3.0 * inv5)[:, :, None, None]
+    )
+    idx = np.arange(n)
+    blocks[idx, idx] = 0.0
+    blocks[idx, idx] = -blocks.sum(axis=1)
+    return blocks.transpose(0, 2, 1, 3).reshape(dim * n, dim * n)
+
+
+def stacked_energy_batch(batch, trap, species):
+    pts = batch.reshape(batch.shape[0], -1, 2)
+    inv_r = np.zeros(pts.shape[0])
+    for i in range(pts.shape[1] - 1):
+        diff = pts[:, i + 1 :, :] - pts[:, i, None, :]
+        inv_r += np.sum(1.0 / np.sqrt(np.einsum("bjk,bjk->bj", diff, diff)), axis=1)
+    e = cv.CONST.coulomb_coefficient * inv_r
+    m = species.mass
+    e += 0.5 * m * np.sum(
+        trap.omega_x_dc**2 * pts[:, :, 0] ** 2 + trap.omega_y_dc**2 * pts[:, :, 1] ** 2,
+        axis=1,
+    )
+    opt = trap.optical
+    if opt.lattice_variant == cv.ANTINODE_COS2 and opt.depth != 0.0:
+        rho2 = pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2
+        e -= opt.depth * np.sum(np.exp(-2.0 * rho2 / opt.waist**2), axis=1)
+    return e
+
+
+def kernel_outputs(xy, coords, trap, species):
+    e, g = cv.planar_energy_gradient(xy, trap, species)
+    bd = cv.total_energy(coords, trap, species)
+    return dict(
+        planar_energy=e,
+        planar_gradient=g,
+        planar_hessian=cv.planar_hessian(xy, trap, species),
+        z_block=coulomb_z_block(xy),
+        total_energy=np.array([bd.coulomb, bd.dc, bd.optical]),
+        gradient=cv.gradient(coords, trap, species),
+        hessian=cv.hessian(coords, trap, species),
+    )
+
+
+@pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
+@pytest.mark.parametrize("anisotropy", [0.0, 0.07])
+@pytest.mark.parametrize("n_ions", [1, 2, 7, 30, 120])
+def test_pair_kernels_bitwise_match_stacked_axis_oracle(
+    species, monkeypatch, variant, anisotropy, n_ions
+):
+    """Per-axis kernels against the (N, N, dim) pass: planar kernels bit for
+    bit; the 3D ones to 1e-12, since einsum adds the three squares in an
+    order of its own."""
+    trap = trap_with(variant, depth=20e-3 * cv.CONST.boltzmann, anisotropy=anisotropy)
+    rng = np.random.default_rng([n_ions, int(anisotropy * 100)])
+    scale = 5e-6 * math.sqrt(n_ions)
+    xy = rng.uniform(-scale, scale, 2 * n_ions)
+    coords = np.zeros(3 * n_ions)
+    coords[0::3] = xy[0::2]
+    coords[1::3] = xy[1::2]
+    coords[2::3] = rng.uniform(-2e-7, 2e-7, n_ions)
+    new = kernel_outputs(xy, coords, trap, species)
+
+    calls = []
+
+    def counted_pair_distances(pts):
+        calls.append(len(pts))
+        return stacked_pair_distances(pts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(potential, "_pair_distances", counted_pair_distances)
+        patch.setattr(potential, "_coulomb_gradient", stacked_coulomb_gradient)
+        patch.setattr(potential, "_coulomb_hessian", stacked_coulomb_hessian)
+        old = kernel_outputs(xy, coords, trap, species)
+    assert calls == [n_ions] * 6  # every kernel ran on the oracle's pair pass
+
+    for name in ("planar_energy", "planar_gradient", "planar_hessian", "z_block"):
+        assert np.array_equal(new[name], old[name]), name
+    for name in ("total_energy", "gradient", "hessian"):
+        scale = np.abs(old[name]).max()
+        assert np.abs(new[name] - old[name]).max() <= 1e-12 * scale, name
+
+    batch = np.stack([xy, xy[::-1], 1.1 * xy])
+    assert np.array_equal(
+        cv.planar_energy_batch(batch, trap, species),
+        stacked_energy_batch(batch, trap, species),
+    )
+    if n_ions > 1:
+        pts = xy.reshape(-1, 2)
+        diff, r = stacked_pair_distances(pts)
+        r_max = np.linalg.norm(pts - pts.mean(axis=0), axis=1).max()
+        d_min = np.linalg.norm(diff, axis=-1)[~np.eye(n_ions, dtype=bool)].min()
+        assert cv.crystal_metrics(xy) == (r_max, d_min)
 
 
 def test_coulomb_z_block_structure(species):
