@@ -39,7 +39,6 @@ class BarrierWalkParams:
     n_samples: int = 1000         # accepted grey-region points per step
     t_p: float = 1e-3             # K, selection temperature
     n_paths: int = 10
-    max_iterations: int = None    # default 10 * ceil(|x0 - xf| / d)
     seed: int = 0
     draw_budget_factor: int = 200  # raw-draw cap per step, times n_samples
     align: bool = True            # gauge-fix xf onto x0 before walking
@@ -171,11 +170,7 @@ def optimize_path(x0, xf, params, trap, species, path_index=0):
         raise DomainError("endpoints are the same configuration")
     d = params.d if params.d is not None else dist / 20.0
     eps = params.epsilon if params.epsilon is not None else 2.5 * d
-    max_iter = (
-        params.max_iterations
-        if params.max_iterations is not None
-        else 10 * math.ceil(dist / d)
-    )
+    max_iter = 10 * math.ceil(dist / d)
     resolved = replace(params, d=d, epsilon=eps, align=False)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(path_index,))

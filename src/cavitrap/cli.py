@@ -30,13 +30,12 @@ from .core import (
     OpticalTrapConfig,
     TrapConfig,
     depth_for_aspect,
-    effective_frequencies,
     intensity_from_power,
     load_species,
     stark_coefficient,
 )
 from .barrier import BarrierWalkParams, barrier_pair
-from .equilibrium import METASTABLE, STABLE, find_equilibria
+from .equilibrium import find_equilibria
 from .errors import CavitrapError, DomainError, ValidationError
 from .lifetime import (
     NON_LANGEVIN_HEATING_BOUND,
@@ -145,7 +144,8 @@ def _build_trap(cfg, species):
 
     Optical depth resolves from the first present of depth_mk,
     omega_z_mhz (inverted through the axial curvature relation),
-    intensity_w_m2, power_w; default is zero depth.
+    intensity_w_m2, power_w; default is zero depth. power_w is checked
+    whenever it is present.
     """
     if "omega_x_mhz" in cfg or "omega_y_mhz" in cfg:
         omega_x = _number(cfg, "omega_x_mhz") * MHZ
@@ -160,8 +160,8 @@ def _build_trap(cfg, species):
         depth=0.0,
         lattice_variant=cfg.get("lattice_variant", "node_sin2"),
         finesse=_number(cfg, "finesse", 3000.0),
-        input_power=_number(cfg, "power_w", 0.0),
     )
+    power = _number(cfg, "power_w") if "power_w" in cfg else None
     trap = TrapConfig(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
 
     if "depth_mk" in cfg:
@@ -175,10 +175,8 @@ def _build_trap(cfg, species):
             species, 2.0 * math.pi * CONST.speed_of_light / optical.wavelength
         )
         depth = kappa * _number(cfg, "intensity_w_m2")
-    elif "power_w" in cfg:
-        intensity = intensity_from_power(
-            _number(cfg, "power_w"), optical.finesse, optical.waist
-        )
+    elif power is not None:
+        intensity = intensity_from_power(power, optical.finesse, optical.waist)
         kappa = stark_coefficient(
             species, 2.0 * math.pi * CONST.speed_of_light / optical.wavelength
         )
@@ -225,8 +223,11 @@ def _numbers(cfg, key, integer=False):
 
 
 def _is_number(value, integer=False):
+    # the bound also rejects an int too large for a float, on which
+    # math.isfinite would raise OverflowError
     return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value) and (not integer or value == int(value)))
+            and abs(value) <= sys.float_info.max
+            and (not integer or value == int(value)))
 
 
 def _equilibria(n, cfg, trap, species, seed, threads):

@@ -160,7 +160,6 @@ class OpticalTrapConfig:
     depth: float                       # J, magnitude of the maximum AC Stark shift
     lattice_variant: str = NODE_SIN2
     finesse: float = 3000.0
-    input_power: float = 0.0           # W
 
     def __post_init__(self):
         if self.wavelength <= 0 or self.waist <= 0:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
+from scipy.spatial import ConvexHull, QhullError
 
 from .core import CONST, characteristic_length
 from .errors import ConvergenceError, DomainError
@@ -33,7 +34,8 @@ METASTABLE = "metastable"
 ENERGY_MATCH_RTOL = 1e-9
 GEOMETRY_MATCH_TOL = 1e-3
 
-RING_GAP_FACTOR = 0.25
+# rotation angles of the coarse alignment scan, per parity
+ALIGN_ANGLES = 96
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,10 @@ def _square_distance(ax, ay, bx, by):
     return dx
 
 
-def align_configurations(reference, other, n_angles=96):
+def align_configurations(reference, other):
     """Match `other` onto `reference` over rotations, reflections, relabelings.
 
-    Coarse scan over n_angles rotation angles times the two parities with
+    Coarse scan over ALIGN_ANGLES rotation angles times the two parities with
     optimal assignment at each, keeping the first orientation (reflection
     off before on, then increasing angle) of smallest rms; then iterated
     orthogonal-Procrustes polish against the best assignment. Returns
@@ -106,7 +108,7 @@ def align_configurations(reference, other, n_angles=96):
 
     n = len(ref)
     flip = np.array([[1.0, 0.0], [0.0, -1.0]])
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False).tolist()
+    angles = np.linspace(0.0, 2.0 * math.pi, ALIGN_ANGLES, endpoint=False).tolist()
     c = np.array([math.cos(a) for a in angles])
     s = np.array([math.sin(a) for a in angles])
     # the transposed view hands BLAS the strides of a single `points @ rot.T`,
@@ -151,36 +153,33 @@ def align_configurations(reference, other, n_angles=96):
     return aligned, perm, rms
 
 
-def ring_configuration(xy, ell=None):
+def ring_configuration(xy):
     """Shell counts from innermost outward, plus an ambiguity flag.
 
-    Shells split where consecutive sorted centroid distances jump by more
-    than RING_GAP_FACTOR*ell. If any resulting shell is itself wider than
-    that gap the clustering is ambiguous and a single shell [N] is
-    returned flagged.
+    Shells are convex-hull layers: the hull of the ions left, with the ions
+    on its boundary counted in it (Qhull's coplanar points), is peeled off
+    until at most three ions, or a collinear rest, remain as the innermost
+    shell. Physical shells grow outward; counts that do not (hull layers of
+    a triangular core, say) are ambiguous and give the flagged shell (N,).
     """
     pts = np.asarray(xy, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    if n == 1:
-        return (1,), False
-    if ell is None:
-        radii_sorted = np.sort(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
-        ell = max(radii_sorted[-1], 1e-30)
-    gap = RING_GAP_FACTOR * ell
-    radii = np.sort(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
-    breaks = np.where(np.diff(radii) > gap)[0]
+    rest = np.arange(len(pts))
     counts = []
-    start = 0
-    for b in breaks:
-        counts.append(int(b) + 1 - start)
-        start = int(b) + 1
-    counts.append(n - start)
-    # a shell wider than the gap criterion means the split is not trustworthy
-    start = 0
-    for c in counts:
-        if radii[start + c - 1] - radii[start] > gap:
-            return (n,), True
-        start += c
+    while len(rest) > 3:
+        try:
+            hull = ConvexHull(pts[rest], qhull_options="Qc")
+        except QhullError:  # a collinear rest has no 2D hull
+            break
+        layer = np.zeros(len(rest), dtype=bool)
+        layer[hull.vertices] = True
+        layer[hull.coplanar[:, 0]] = True
+        counts.append(int(layer.sum()))
+        rest = rest[~layer]
+    if len(rest):
+        counts.append(len(rest))
+    counts.reverse()
+    if any(a > b for a, b in zip(counts, counts[1:])):
+        return (len(pts),), True
     return tuple(counts), False
 
 
@@ -302,7 +301,7 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
     results = []
     for rank, (x, e, count) in enumerate(found):
         pts = x.reshape(-1, 2)
-        rings, ambiguous = ring_configuration(pts, ell)
+        rings, ambiguous = ring_configuration(pts)
         if n_ions >= 2:
             r_max, d_min = crystal_metrics(pts)
         else:

@@ -174,21 +174,13 @@ def label_modes(spectrum, eq):
                 coeff /= np.sqrt(weight)
                 assigned[len(taken)] = name
                 taken.append(coeff)
+        # with nothing taken no mode of the group is labelled either: a single
+        # mode's overlap with a basis vector is at most the group's weight
         if taken:
             rot = _complete_orthonormal(np.array(taken), len(group))
-            new_sub = sub @ rot.T
-            for slot, i in enumerate(group):
-                vecs[2::3, i] = new_sub[:, slot]
-                labels[i] = assigned.get(slot, LABEL_OTHER)
-        else:
-            for i in group:
-                overlaps = (basis.T @ vecs[2::3, i]) ** 2
-                j = int(np.argmax(overlaps))
-                labels[i] = (
-                    _BASIS_LABELS[j]
-                    if overlaps[j] > LABEL_OVERLAP_THRESHOLD
-                    else LABEL_OTHER
-                )
+            vecs[2::3, group] = sub @ rot.T
+        for slot, i in enumerate(group):
+            labels[i] = assigned.get(slot, LABEL_OTHER)
     return replace(spectrum, vectors=vecs, labels=tuple(labels))
 
 

@@ -19,29 +19,25 @@ import numpy as np
 
 from .core import CONST
 from .errors import DomainError, FitError, ResonanceError
-from .modes import IN_PLANE, OUT_OF_PLANE
+from .modes import OUT_OF_PLANE
 from .equilibrium import EquilibriumResult
 
 RESONANCE_TOL_FACTOR = 1e-3
 
-PARTITION_ALL = "all"
-
 
 @dataclass(frozen=True)
 class SpinDriveConfig:
-    """SDF frequencies, Rabi matrix, recoil scale, and mode selection.
+    """SDF frequencies, Rabi matrix and recoil scale of an out-of-plane drive.
 
-    rabi is (n_ions, n_drives) in rad/s; resonance_tolerance of None
-    resolves to RESONANCE_TOL_FACTOR times the highest used mode
-    frequency. axis picks the displacement component that couples to the
-    drive (z for the out-of-plane geometry).
+    The drive couples to the z displacement, so only the out-of-plane
+    modes enter. rabi is (n_ions, n_drives) in rad/s; resonance_tolerance
+    of None resolves to RESONANCE_TOL_FACTOR times the highest
+    out-of-plane mode frequency.
     """
 
     mu: tuple                      # rad/s, one per drive
     rabi: np.ndarray               # (n_ions, n_drives), rad/s
     recoil_energy: float           # J
-    mode_partition: str = OUT_OF_PLANE
-    axis: str = "z"
     resonance_tolerance: float = None
 
     def __post_init__(self):
@@ -49,8 +45,6 @@ class SpinDriveConfig:
             raise DomainError("recoil energy must be nonnegative")
         if np.any(np.asarray(self.rabi) < 0):
             raise DomainError("Rabi frequencies must be nonnegative")
-        if self.mode_partition not in (OUT_OF_PLANE, IN_PLANE, PARTITION_ALL):
-            raise DomainError(f"unknown mode partition {self.mode_partition!r}")
 
 
 @dataclass(frozen=True)
@@ -70,24 +64,13 @@ def uniform_drive(n_ions, mu, rabi, recoil_energy, **kwargs):
     )
 
 
-_AXIS_OFFSET = {"x": 0, "y": 1, "z": 2}
-
-
-def _mode_selection(spectrum, drive):
-    if drive.mode_partition == PARTITION_ALL:
-        idx = np.arange(spectrum.n_modes)
-    else:
-        idx = spectrum.select(drive.mode_partition)
-    if np.any(spectrum.imaginary[idx]):
-        raise DomainError("selected mode partition contains imaginary modes")
-    offset = _AXIS_OFFSET[drive.axis]
-    patterns = spectrum.vectors[offset::3, :][:, idx]
-    return spectrum.omega[idx], patterns, idx
-
-
 def compute_jij(spectrum, eq, drive):
-    """SpinGraph for the given drive over the selected mode partition."""
-    omega, patterns, idx = _mode_selection(spectrum, drive)
+    """SpinGraph for the given drive over the out-of-plane modes."""
+    idx = spectrum.select(OUT_OF_PLANE)
+    if np.any(spectrum.imaginary[idx]):
+        raise DomainError("out-of-plane modes include imaginary modes")
+    omega = spectrum.omega[idx]
+    patterns = spectrum.vectors[2::3, :][:, idx]
     tol = drive.resonance_tolerance
     if tol is None:
         tol = RESONANCE_TOL_FACTOR * omega.max()

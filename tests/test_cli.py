@@ -126,6 +126,7 @@ def test_exit_3_on_missing_required_key(tmp_path, capsys):
     ("omega_r_mhz", "fast"),
     ("n_ions", 5.5),
     ("n_restarts", 2.5),
+    pytest.param("n_ions", 10**400, id="n_ions-too-large-for-a-float"),
 ])
 def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
     cfg = dict(n_ions=4, omega_r_mhz=0.5, n_restarts=4)

@@ -215,16 +215,42 @@ def test_ring_configuration_rotation_invariant(eq10_21):
 
 
 def test_ring_configuration_ambiguity_flag():
-    # radii creep outward in steps below the gap threshold but spread far
-    # beyond it: no trustworthy shell split exists
-    ell = 1.0
-    radii = np.arange(6) * 0.2 * ell
-    angles = np.linspace(0, 2 * math.pi, 6, endpoint=False)
-    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    pts -= pts.mean(axis=0)
-    counts, ambiguous = cv.ring_configuration(pts + pts.mean(axis=0), ell)
+    # hull layers that shrink outward are not shells: an outer triangle
+    # (3 ions) around an inner hexagon (6 ions) has no trustworthy label
+    outer = 3.0 * np.array([[math.cos(a), math.sin(a)]
+                            for a in np.linspace(0, 2 * math.pi, 3, endpoint=False)])
+    inner = np.array([[math.cos(a), math.sin(a)]
+                      for a in np.linspace(0, 2 * math.pi, 6, endpoint=False)])
+    counts, ambiguous = cv.ring_configuration(np.vstack([outer, inner]))
     assert ambiguous
-    assert counts == (6,)
+    assert counts == (9,)
+
+
+@pytest.mark.parametrize("pts, expected", [
+    pytest.param([[0.0, 0.0]], (1,), id="N1"),
+    pytest.param([[-1.0, 0.0], [1.0, 0.0]], (2,), id="N2"),
+    pytest.param([[0.0, 1.0], [-0.9, -0.5], [0.9, -0.5]], (3,), id="N3"),
+    pytest.param([[x, 0.0] for x in range(6)], (6,), id="chain"),
+    # a collinear rest inside a ring is one inner shell
+    pytest.param([[3 * math.cos(a), 3 * math.sin(a)]
+                  for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
+                 + [[x - 1.5, 0.0] for x in range(4)], (4, 8), id="ring-chain"),
+])
+def test_ring_configuration_small_and_collinear(pts, expected):
+    counts, ambiguous = cv.ring_configuration(np.array(pts))
+    assert counts == expected
+    assert not ambiguous
+
+
+def test_n30_metastable_ring_labelled(species):
+    """The (5,11,14) minimum the radial-gap rule left as an ambiguous (30,)."""
+    optical = cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0, cv.ANTINODE_COS2)
+    trap = cv.make_trap(OMEGA_R, optical)
+    trap = trap.with_depth(cv.depth_for_aspect(trap, species, 4.0))
+    eqs = cv.find_equilibria(30, trap, species, n_restarts=16, seed=7)
+    assert eqs[0].ring_configuration == (5, 10, 15)
+    labels = [(eq.ring_configuration, eq.ring_ambiguous) for eq in eqs[1:]]
+    assert ((5, 11, 14), False) in labels
 
 
 def test_crystal_metrics_square():
