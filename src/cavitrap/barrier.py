@@ -9,25 +9,35 @@ at least d, so the walk terminates; the smallest energy peak over several
 independent walks is an upper bound on the barrier.
 
 The grey region is exactly cube(x, epsilon) intersected with
-ball(x_f, |x - x_f| - d). Candidates come by rejection from one of the two
-containers: uniform in the cube keeping ball hits, or uniform in the ball
-keeping cube hits. Either route alone is uniform on the intersection, so
-the choice leaves the law unchanged; it only sets the acceptance rate,
-vol(intersection) / vol(container). Each call therefore draws from the
-smaller container, picked from the closed-form volumes. n_samples counts
-accepted grey-region points, matching the walk's sampling density
-regardless of how thin the grey region gets.
+ball(x_f, R), R = |x - x_f| - d. One exact rejection sampler draws from
+it: a product of normals N(0, sigma^2) about x_f, each truncated to the
+cube's side on its axis, so every draw lies in the cube, and a draw y
+(relative to x_f) is kept with probability
+1{|y| <= R} exp((|y|^2 - R^2) / 2 sigma^2). On the cube the proposal
+density is proportional to exp(-|y|^2 / 2 sigma^2), so this is the ratio
+of the uniform law to it, scaled to 1 at |y| = R: the kept points are
+uniform on the grey region for every sigma > 0. sigma is the root of
+sum_k E[y_k^2] = R^2, which maximises the acceptance (12-25 % at every
+step of the N = 6 and 9 walks, 7-16 % at N = 30). Each step scores exactly
+n_samples points, or raises SamplingError saying how many it reached.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .core import CONST
 from .equilibrium import EquilibriumResult, align_configurations
 from .errors import DomainError, SamplingError
 from .potential import planar_energy, planar_energy_batch
+
+_DRAW_BUDGET = 200  # raw draws per step, times n_samples
+_MAX_CHUNK = 8  # draws per chunk at most, times n_samples
+_LOG_TINY = math.log(1e-300)  # below this Phi(beta) leaves the normal range
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,6 @@ class BarrierWalkParams:
     t_p: float = 1e-3             # K, selection temperature
     n_paths: int = 10
     seed: int = 0
-    draw_budget_factor: int = 200  # raw-draw cap per step, times n_samples
     align: bool = True            # gauge-fix xf onto x0 before walking
 
     def __post_init__(self):
@@ -88,41 +97,103 @@ def _endpoints(x0, xf, align):
     return start, target
 
 
-def _sample_grey(x, xf, d, eps, n, rng):
-    """Up to n points uniform on cube(x, eps) intersect ball(xf, |x-xf|-d).
+def _lower_masses(alpha, beta):
+    """log Phi(beta) and q = (Phi(beta) - Phi(alpha)) / Phi(beta), alpha < beta."""
+    log_pb = log_ndtr(beta)
+    return log_pb, -np.expm1(log_ndtr(alpha) - log_pb)
 
-    All n draws come from whichever container has the smaller volume,
-    eps^dim for the cube or pi^(dim/2) R^dim / Gamma(dim/2 + 1) for the
-    ball; the points that fall in the other container are kept. Rejection
-    from either container is uniform on the intersection, and the smaller
-    one accepts the larger share of its draws.
+
+def _second_moment(a, b, sigma):
+    """Sum over axes of E[y_k^2], y_k ~ N(0, sigma^2) truncated to [a_k, b_k]."""
+    alpha, beta = a / sigma, b / sigma
+    log_pb, q = _lower_masses(alpha, beta)
+    log_c = -_LOG_SQRT_2PI - (log_pb + np.log(q))  # -log(sqrt(2 pi) Z)
+    ratio = alpha * np.exp(log_c - 0.5 * alpha**2) - beta * np.exp(log_c - 0.5 * beta**2)
+    return sigma**2 * (a.size + ratio.sum())
+
+
+def _proposal_sigma(a, b, r_ball):
+    """The sigma at which sum_k E[y_k^2] = R^2, the largest acceptance.
+
+    The log acceptance is concave in 1/sigma^2 and its derivative there is
+    (sum_k E[y_k^2] - R^2) / 2; the sum grows with sigma from the squared
+    distance of the cube's nearest point (< R^2) to the cube's uniform
+    second moment (> |x - xf|^2 > R^2), so the root is bracketed by doubling.
+    Any sigma gives the exact law, so a loose tolerance only costs yield.
     """
-    dim = x.size
-    r_ball = np.linalg.norm(x - xf) - d
-    if r_ball <= 0:
-        return np.empty((0, dim))
-    shift = x - xf
-    log_cube = dim * math.log(eps)
-    log_ball = (
-        0.5 * dim * math.log(math.pi)
-        - math.lgamma(0.5 * dim + 1.0)
-        + dim * math.log(r_ball)
-    )
 
-    if log_cube <= log_ball:
-        y = rng.random((n, dim))
-        y -= 0.5
-        y *= eps
-        y += shift  # now relative to xf
-        keep = np.einsum("ij,ij->i", y, y) <= r_ball**2
-        return xf + y[keep]
+    def excess(log_sigma):
+        return _second_moment(a, b, math.exp(log_sigma)) - r_ball**2
 
-    y = rng.standard_normal((n, dim))
-    radii = r_ball * rng.random(n) ** (1.0 / dim)
-    y *= (radii / np.sqrt(np.einsum("ij,ij->i", y, y)))[:, None]
-    y -= shift  # now relative to x
-    keep = np.max(np.abs(y), axis=1) <= eps / 2.0
-    return x + y[keep]
+    lo = hi = math.log(r_ball / math.sqrt(a.size))
+    while excess(hi) < 0.0:
+        hi += math.log(2.0)
+    while excess(lo) > 0.0:
+        lo -= math.log(2.0)
+    return math.exp(brentq(excess, lo, hi, xtol=1e-3))
+
+
+def _grey_pool(x, xf, params, rng):
+    """Exactly params.n_samples points uniform on cube(x, eps) cut to ball(xf, R).
+
+    Works in target-centred coordinates y = point - xf, with s = x - xf and
+    R = |s| - d. Each axis is reflected so that its cube side lies on the
+    lower tail, t_k = -sign(s_k) y_k in [a_k, b_k] = -|s_k| -+ eps/2, and
+    t_k is drawn from N(0, sigma^2) truncated to [a_k, b_k] by inverse CDF,
+    in log space on axes where Phi(b_k / sigma) underflows. Raises
+    SamplingError before any draw if the cube's nearest point to xf lies
+    beyond R, and after _DRAW_BUDGET * n_samples draws if the pool is short.
+    """
+    n, eps, dim = params.n_samples, params.epsilon, x.size
+    s = x - xf
+    r_ball = np.linalg.norm(s) - params.d
+    a = -np.abs(s) - eps / 2.0
+    b = a + eps
+    nearest = np.minimum(b, 0.0)
+    if r_ball <= 0.0 or nearest @ nearest >= r_ball**2:
+        raise SamplingError(
+            f"grey region empty: reached 0 of {n} points (step scale d={params.d:g})"
+        )
+
+    sigma = _proposal_sigma(a, b, r_ball)
+    log_pb, q = _lower_masses(a / sigma, b / sigma)
+    p_b = np.exp(log_pb)
+    tail = log_pb < _LOG_TINY
+    any_tail = bool(tail.any())
+    scale = np.where(s > 0.0, -sigma, sigma)  # undoes the reflection
+    r2 = r_ball**2
+
+    pool, accepted, drawn = [], 0, 0
+    budget = _DRAW_BUDGET * n
+    chunk = n
+    while accepted < n:
+        if drawn >= budget:
+            raise SamplingError(
+                f"reached {accepted} of {n} grey-region points after {drawn} draws "
+                f"(step scale d={params.d:g})"
+            )
+        u = rng.random((chunk, dim))
+        if any_tail:
+            t_tail = ndtri_exp(log_pb[tail] + np.log1p(-u[:, tail] * q[tail]))
+        u *= -q
+        u += 1.0
+        u *= p_b  # uniform on [Phi(alpha), Phi(beta)]
+        y = ndtri(u, out=u)
+        if any_tail:
+            y[:, tail] = t_tail
+        y *= scale
+        rr = np.einsum("ij,ij->i", y, y)
+        keep = (rr <= r2) & (rng.random(chunk) <= np.exp((rr - r2) / (2.0 * sigma**2)))
+        pool.append(y[keep])
+        accepted += int(keep.sum())
+        drawn += chunk
+        # the yield so far sizes the next chunk, with a 10% margin
+        chunk = min(
+            budget - drawn,
+            _MAX_CHUNK * n,
+            math.ceil(1.1 * (n - accepted) * drawn / max(accepted, 1)),
+        )
+    return xf + np.vstack(pool)[:n]
 
 
 def propose_step(x_i, x_f, params, rng, trap, species, energy_i=None):
@@ -130,29 +201,12 @@ def propose_step(x_i, x_f, params, rng, trap, species, energy_i=None):
 
     params must have concrete d and epsilon. Returns (x_next, energy_next).
     """
-    d, eps = params.d, params.epsilon
-    if np.linalg.norm(x_i - x_f) <= d:
+    if np.linalg.norm(x_i - x_f) <= params.d:
         raise DomainError("already within d of the target")
     if energy_i is None:
         energy_i = planar_energy(x_i, trap, species)
 
-    pool = []
-    accepted = 0
-    drawn = 0
-    budget = params.draw_budget_factor * params.n_samples
-    chunk = 4 * params.n_samples
-    while accepted < params.n_samples and drawn < budget:
-        batch = _sample_grey(x_i, x_f, d, eps, chunk, rng)
-        drawn += chunk
-        if len(batch):
-            pool.append(batch)
-            accepted += len(batch)
-    if accepted == 0:
-        raise SamplingError(
-            f"no grey-region candidates after {drawn} draws (step scale d={d:g})"
-        )
-    candidates = np.vstack(pool)[: params.n_samples]
-
+    candidates = _grey_pool(x_i, x_f, params, rng)
     energies = planar_energy_batch(candidates, trap, species)
     kbt = CONST.boltzmann * params.t_p
     log_w = -(energies - energies.min()) / kbt

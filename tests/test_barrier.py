@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
-from scipy.stats import chisquare, ks_2samp
+from scipy.stats import chisquare, ks_2samp, kstest
 
 import cavitrap as cv
 from cavitrap import barrier
-from cavitrap.barrier import _sample_grey
+from cavitrap.barrier import _grey_pool
 
 KB = cv.CONST.boltzmann
 
@@ -35,11 +33,10 @@ def test_grey_region_membership(five_ion_pair):
     dist = np.linalg.norm(x - xf)
     d = dist / 20
     eps = 2.5 * d
+    params = cv.BarrierWalkParams(d=d, epsilon=eps, n_samples=500)
     rng = np.random.default_rng(0)
-    batches = [_sample_grey(x, xf, d, eps, 500, rng) for _ in range(20)]
-    samples = np.vstack(batches)
-    assert 0 < len(samples) <= 20 * 500  # rejection sampling, not exact count
-    assert samples.shape[1] == x.size
+    samples = np.vstack([_grey_pool(x, xf, params, rng) for _ in range(20)])
+    assert samples.shape == (20 * 500, x.size)  # exactly n_samples per call
     assert np.abs(samples - x).max() <= eps / 2 + 1e-18
     radii = np.linalg.norm(samples - xf, axis=1)
     assert radii.max() <= dist - d + 1e-18
@@ -52,7 +49,7 @@ def _brute_force_grey(x, xf, d, eps, n, rng):
     hi = np.minimum(x + eps / 2, xf + r_ball)
     pool, kept = [], 0
     while kept < n:
-        y = lo + (hi - lo) * rng.random((4 * n, x.size))
+        y = lo + (hi - lo) * rng.random((20_000, x.size))
         hit = (np.linalg.norm(y - xf, axis=1) <= r_ball) & (
             np.max(np.abs(y - x), axis=1) <= eps / 2
         )
@@ -61,39 +58,77 @@ def _brute_force_grey(x, xf, d, eps, n, rng):
     return np.vstack(pool)[:n]
 
 
-# dim = 4 geometries as (d, eps, |x - xf|); the grey region is a proper
-# piece of both containers in each, and the named container is smaller.
-GREY_GEOMETRIES = {"cube_smaller": (0.3, 1.0, 1.5), "ball_smaller": (0.3, 1.0, 0.8)}
+# (dim, d, eps, |x - xf|, samples). The dim = 4 pair has the cube or the
+# ball as the smaller container; dim 12 and 18 are walk steps early
+# (|x - xf| = 20 d) and late (5-6 d), where bounding-box rejection is still
+# affordable; "dim12_tail" puts the cube at the ball's rim (d = dist / 1e4),
+# so the proposal's sigma is tiny and some axes lie beyond 38 sigma.
+GREY_GEOMETRIES = {
+    "cube_smaller": (4, 0.3, 1.0, 1.5, 20_000),
+    "ball_smaller": (4, 0.3, 1.0, 0.8, 20_000),
+    "dim12_early": (12, 0.05, 0.125, 1.0, 40_000),
+    "dim12_late": (12, 0.2, 0.5, 1.0, 40_000),
+    "dim18_early": (18, 0.05, 0.125, 1.0, 40_000),
+    "dim18_late": (18, 1 / 6, 2.5 / 6, 1.0, 40_000),
+    "dim12_tail": (12, 1e-4, 2.5e-4, 1.0, 40_000),
+}
 
 
 @pytest.mark.parametrize("geometry", sorted(GREY_GEOMETRIES))
 def test_grey_sampler_law_matches_brute_force(geometry):
-    d, eps, dist = GREY_GEOMETRIES[geometry]
-    dim = 4
+    dim, d, eps, dist, n = GREY_GEOMETRIES[geometry]
     x = np.zeros(dim)
-    direction = np.array([0.6, 0.4, -0.3, 0.2])
+    direction = np.random.default_rng(dim).uniform(0.2, 1.0, dim)
+    direction *= np.where(np.arange(dim) % 3 == 2, -1.0, 1.0)
     xf = dist * direction / np.linalg.norm(direction)
-    r_ball = dist - d
-    ball_volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * r_ball**dim
-    assert (eps**dim < ball_volume) == (geometry == "cube_smaller")
 
-    rng = np.random.default_rng(11)
-    got = np.vstack([_sample_grey(x, xf, d, eps, 1000, rng) for _ in range(40)])
-    assert len(got) > 2000
-    ref = _brute_force_grey(x, xf, d, eps, len(got), np.random.default_rng(12))
-    for k in range(dim):
-        assert ks_2samp(got[:, k], ref[:, k]).pvalue > 0.01, f"coordinate {k}"
+    params = cv.BarrierWalkParams(d=d, epsilon=eps, n_samples=n)
+    got = _grey_pool(x, xf, params, np.random.default_rng(11))
+    ref = _brute_force_grey(x, xf, d, eps, n, np.random.default_rng(12))
+    for k in range(dim):  # Bonferroni over the coordinates
+        assert ks_2samp(got[:, k], ref[:, k]).pvalue > 0.01 / dim, f"coordinate {k}"
     radius = ks_2samp(np.linalg.norm(got - xf, axis=1), np.linalg.norm(ref - xf, axis=1))
     assert radius.pvalue > 0.01
+    cube = ks_2samp(np.abs(got - x).max(axis=1), np.abs(ref - x).max(axis=1))
+    assert cube.pvalue > 0.01
 
 
-def test_grey_sampler_keeps_every_draw_when_ball_inside_cube():
+def test_grey_sampler_uniform_in_ball_inside_cube():
+    """With the ball inside the cube the grey region is the ball itself."""
     x = np.zeros(4)
     xf = np.array([0.3, 0.2, 0.1, 0.0])
     d, eps = 0.2, 2.0  # ball radius ~0.17 around xf, cube half-side 1 around x
-    samples = _sample_grey(x, xf, d, eps, 500, np.random.default_rng(3))
-    assert len(samples) == 500
-    assert np.linalg.norm(samples - xf, axis=1).max() <= np.linalg.norm(x - xf) - d
+    r_ball = np.linalg.norm(x - xf) - d
+    params = cv.BarrierWalkParams(d=d, epsilon=eps, n_samples=5000)
+    samples = _grey_pool(x, xf, params, np.random.default_rng(3))
+    radii = np.linalg.norm(samples - xf, axis=1)
+    assert radii.max() <= r_ball
+    assert kstest((radii / r_ball) ** x.size, "uniform").pvalue > 0.01
+
+
+def test_grey_pool_empty_region_raises_before_drawing():
+    """The cube's nearest point to xf lies beyond R: no draw is made."""
+    x = np.zeros(4)
+    xf = np.array([1.0, 0.0, 0.0, 0.0])
+    params = cv.BarrierWalkParams(d=0.5, epsilon=0.6, n_samples=100)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(cv.SamplingError, match="reached 0 of 100"):
+        _grey_pool(x, xf, params, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_grey_pool_full_at_late_walk_geometry():
+    """|x - xf| = 3.5 d at dim 12, where fixed-container rejection ran short."""
+    dim = 12
+    direction = np.random.default_rng(7).standard_normal(dim)
+    d = 1.0
+    xf = 3.5 * d * direction / np.linalg.norm(direction)
+    params = cv.BarrierWalkParams(d=d, epsilon=2.5 * d)
+    pool = _grey_pool(np.zeros(dim), xf, params, np.random.default_rng(8))
+    assert pool.shape == (params.n_samples, dim)
+    assert np.abs(pool).max() <= 1.25 * d
+    assert np.linalg.norm(pool - xf, axis=1).max() <= 2.5 * d
 
 
 def test_propose_step_moves_closer(five_ion_pair, bare_trap_21, species):
@@ -226,26 +261,20 @@ def test_barrier_pair_aligns_once(five_ion_pair, bare_trap_21, species,
     assert result["peaks"] == per_path
 
 
+def test_walk_converges_at_thirty_ions(bare_trap_21, species):
+    """Dim 60: rejection from the cube or the ball alone found no grey point."""
+    eqs = cv.find_equilibria(30, bare_trap_21, species, n_restarts=12, seed=0)
+    path = cv.optimize_path(eqs[0], eqs[1], cv.BarrierWalkParams(), bare_trap_21,
+                            species)
+    assert path.converged
+
+
 def test_walk_endpoint_mismatch(five_ion_pair, bare_trap_21, species):
     params = cv.BarrierWalkParams(seed=0)
     with pytest.raises(cv.DomainError):
         cv.optimize_path(five_ion_pair[0].xy_flat[:8],
                          five_ion_pair[1].xy_flat,
                          params, bare_trap_21, species)
-
-
-def _replay_pool(x, xf, params, rng):
-    """Re-run the accept loop of propose_step on a cloned rng to expose its pool."""
-    budget = params.draw_budget_factor * params.n_samples
-    chunk = 4 * params.n_samples
-    pool, accepted, drawn = [], 0, 0
-    while accepted < params.n_samples and drawn < budget:
-        batch = _sample_grey(x, xf, params.d, params.epsilon, chunk, rng)
-        drawn += chunk
-        if len(batch):
-            pool.append(batch)
-            accepted += len(batch)
-    return np.vstack(pool)[: params.n_samples]
 
 
 def test_hot_selection_uniform_and_weights_normalized(five_ion_pair, bare_trap_21,
@@ -258,7 +287,7 @@ def test_hot_selection_uniform_and_weights_normalized(five_ion_pair, bare_trap_2
     n_trials = 10_000
     ranks = np.empty(n_trials, dtype=np.intp)
     for k in range(n_trials):
-        pool = _replay_pool(x, xf, params, np.random.default_rng(900 + k))
+        pool = _grey_pool(x, xf, params, np.random.default_rng(900 + k))
         energies = cv.planar_energy_batch(pool, bare_trap_21, species)
         weights = np.exp(-(energies - energies.min()) / (KB * params.t_p))
         assert np.sum(weights / weights.sum()) == pytest.approx(1.0, rel=1e-12)
