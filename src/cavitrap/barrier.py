@@ -20,9 +20,18 @@ uniform on the grey region for every sigma > 0. sigma is the root of
 sum_k E[y_k^2] = R^2, which maximises the acceptance (12-25 % at every
 step of the N = 6 and 9 walks, 7-16 % at N = 30). Each step scores exactly
 n_samples points, or raises SamplingError saying how many it reached.
+
+barrier_pair walks its paths concurrently, one thread per CPU the process
+may use. Path k draws only from its own SeedSequence(seed, spawn_key=(k,))
+stream and shares nothing writable with the other paths, so the paths and
+bounds are bitwise the same for any number of threads. The work of a step
+is inverse-CDF draws and array arithmetic on thousands of elements, which
+numpy and scipy run without the interpreter lock, so the threads overlap.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,15 +205,13 @@ def _grey_pool(x, xf, params, rng):
     return xf + np.vstack(pool)[:n]
 
 
-def propose_step(x_i, x_f, params, rng, trap, species, energy_i=None):
+def propose_step(x_i, x_f, params, rng, trap, species):
     """One walk step: sample the grey region, Boltzmann-select a candidate.
 
     params must have concrete d and epsilon. Returns (x_next, energy_next).
     """
     if np.linalg.norm(x_i - x_f) <= params.d:
         raise DomainError("already within d of the target")
-    if energy_i is None:
-        energy_i = planar_energy(x_i, trap, species)
 
     candidates = _grey_pool(x_i, x_f, params, rng)
     energies = planar_energy_batch(candidates, trap, species)
@@ -239,7 +246,7 @@ def optimize_path(x0, xf, params, trap, species, path_index=0):
         if np.linalg.norm(x - target) < d:
             converged = True
             break
-        x, energy = propose_step(x, target, resolved, rng, trap, species, energy)
+        x, energy = propose_step(x, target, resolved, rng, trap, species)
         points.append(x.copy())
         energies.append(energy)
     else:
@@ -254,6 +261,14 @@ def optimize_path(x0, xf, params, trap, species, path_index=0):
         barrier_from_start=(peak - energies[0]) / CONST.boltzmann,
         converged=converged,
     )
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def barrier_upper_bound(paths):
@@ -273,13 +288,24 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     start energy) and barrier_from_other (the same peak minus the other
     configuration's energy), both in K. With params.align the target is
     aligned onto the start once, and every path walks toward that target.
+
+    The paths run in min(n_paths, CPUs) threads. Each draws from its own
+    seeded stream and reads only the shared endpoints, trap and species,
+    so the result does not depend on the thread count or the scheduling.
+    If paths raise, the error of the lowest failing index is raised once
+    every path has ended, as a serial loop over the indices would raise.
     """
     _, target = _endpoints(eq_start, eq_other, params.align)
     walk = replace(params, align=False)
-    paths = [
-        optimize_path(eq_start, target, walk, trap, species, path_index=k)
-        for k in range(params.n_paths)
-    ]
+    with ThreadPoolExecutor(max_workers=min(params.n_paths, _cpu_count())) as pool:
+        futures = [
+            pool.submit(
+                optimize_path, eq_start, target, walk, trap, species, path_index=k
+            )
+            for k in range(params.n_paths)
+        ]
+    # leaving the block waited for every path; result() re-raises in index order
+    paths = [f.result() for f in futures]
     bound, best = barrier_upper_bound(paths)
     e_other = (
         eq_other.energy

@@ -23,8 +23,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .core import CONST, characteristic_length
 from .errors import ConvergenceError, DomainError
-from .potential import _pair_distances, planar_energy, planar_energy_gradient
-from .potential import planar_gradient, planar_hessian
+from .potential import _pair_distances, planar_energy_gradient, planar_hessian
 
 STABLE = "stable"
 METASTABLE = "metastable"
@@ -194,9 +193,12 @@ def crystal_metrics(xy):
 
 
 def _polish_newton(x, trap, species, ell, grad_tol, max_iter=60):
-    """Guarded Newton refinement of a near-converged minimum."""
+    """Guarded Newton refinement of a near-converged minimum.
+
+    Returns (x, energy, gradient norm), the last two from the pass at x.
+    """
     step_cap = 0.1 * ell
-    g = planar_gradient(x, trap, species)
+    e, g = planar_energy_gradient(x, trap, species)
     for _ in range(max_iter):
         gnorm = np.linalg.norm(g)
         if gnorm < grad_tol:
@@ -214,14 +216,14 @@ def _polish_newton(x, trap, species, ell, grad_tol, max_iter=60):
         scale = 1.0
         for _ in range(12):
             trial = x + scale * step
-            g_trial = planar_gradient(trial, trap, species)
+            e_trial, g_trial = planar_energy_gradient(trial, trap, species)
             if np.linalg.norm(g_trial) < gnorm:
-                x, g = trial, g_trial
+                x, e, g = trial, e_trial, g_trial
                 break
             scale *= 0.5
         else:
             break
-    return x, np.linalg.norm(g)
+    return x, e, np.linalg.norm(g)
 
 
 def _one_restart(n_ions, trap, species, seed, index, ell, echar, fchar, grad_tol):
@@ -242,14 +244,14 @@ def _one_restart(n_ions, trap, species, seed, index, ell, echar, fchar, grad_tol
         method="L-BFGS-B",
         options=dict(maxiter=20000, ftol=1e-14, gtol=1e-7),
     )
-    x, gnorm = _polish_newton(res.x * ell, trap, species, ell, grad_tol)
+    x, e, gnorm = _polish_newton(res.x * ell, trap, species, ell, grad_tol)
     if gnorm >= grad_tol:
         return None
     # reject saddles; one near-zero eigenvalue (global rotation) is expected
     eigs = np.linalg.eigvalsh(planar_hessian(x, trap, species))
     if eigs.min() < -1e-6 * species.mass * trap.omega_r**2:
         return None
-    return x, planar_energy(x, trap, species)
+    return x, e, gnorm
 
 
 def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
@@ -276,11 +278,11 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
     else:
         raw = [_one_restart(*a) for a in args]
 
-    found = []  # list of [x, energy, count]
+    found = []  # list of [x, energy, gradient norm, count]
     for item in raw:
         if item is None:
             continue
-        x, e = item
+        x, e, gnorm = item
         matched = False
         # floor the relative comparison so exact-zero energies (N = 1) match
         e_scale = max(abs(e), 1e-6 * echar)
@@ -289,17 +291,17 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
                 continue
             _, _, rms = align_configurations(entry[0].reshape(-1, 2), x.reshape(-1, 2))
             if rms < GEOMETRY_MATCH_TOL * ell:
-                entry[2] += 1
+                entry[3] += 1
                 matched = True
                 break
         if not matched:
-            found.append([x, e, 1])
+            found.append([x, e, gnorm, 1])
     if not found:
         raise ConvergenceError(f"no converged minimum in {n_restarts} restarts")
 
     found.sort(key=lambda entry: entry[1])
     results = []
-    for rank, (x, e, count) in enumerate(found):
+    for rank, (x, e, gnorm, count) in enumerate(found):
         pts = x.reshape(-1, 2)
         rings, ambiguous = ring_configuration(pts)
         if n_ions >= 2:
@@ -319,9 +321,7 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
                 r_max=r_max,
                 d_min=d_min,
                 n_found_duplicates=count,
-                grad_norm=float(
-                    np.linalg.norm(planar_gradient(x, trap, species))
-                ),
+                grad_norm=float(gnorm),
             )
         )
     return results

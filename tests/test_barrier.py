@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -259,6 +263,72 @@ def test_barrier_pair_aligns_once(five_ion_pair, bare_trap_21, species,
     result = cv.barrier_pair(start, other, params, bare_trap_21, species)
     assert len(calls) == 1
     assert result["peaks"] == per_path
+
+
+def test_barrier_pair_threads_match_serial_walks(five_ion_pair, bare_trap_21,
+                                                species, monkeypatch):
+    """More threads than cores and a switch every microsecond change no bit."""
+    params = cv.BarrierWalkParams(seed=2, n_paths=6, n_samples=200)
+    start, other = five_ion_pair[0], five_ion_pair[1]
+    serial = [
+        cv.optimize_path(start, other, params, bare_trap_21, species, path_index=k)
+        for k in range(params.n_paths)
+    ]
+    walkers = set()
+
+    def recorded(*args, **kwargs):
+        walkers.add(threading.get_ident())
+        return cv.optimize_path(*args, **kwargs)
+
+    monkeypatch.setattr(barrier, "optimize_path", recorded)
+    monkeypatch.setattr(barrier, "_cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        result = cv.barrier_pair(start, other, params, bare_trap_21, species)
+        elapsed = time.perf_counter() - t0
+    finally:
+        sys.setswitchinterval(interval)
+    assert elapsed < 60.0
+    assert len(walkers) > 1 and threading.get_ident() not in walkers
+    assert len(result["paths"]) == params.n_paths
+    for got, want in zip(result["paths"], serial):
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.energies, want.energies)
+        assert got.converged == want.converged
+    bound, best = cv.barrier_upper_bound(serial)
+    assert result["barrier_from_start"] == bound
+    assert result["barrier_from_other"] == (best.peak_energy - other.energy) / KB
+
+
+def test_barrier_pair_raises_first_failing_path(five_ion_pair, bare_trap_21,
+                                                species, monkeypatch):
+    """Index 2's error wins although index 4 fails first; no thread is left."""
+    params = cv.BarrierWalkParams(seed=0, n_paths=6, n_samples=100)
+    ran = []
+    four_failed = threading.Event()
+
+    def flaky(*args, path_index, **kwargs):
+        ran.append(path_index)
+        if path_index == 2:
+            four_failed.wait(timeout=30.0)
+            raise cv.SamplingError("path 2 failed")
+        if path_index == 4:
+            four_failed.set()
+            raise cv.SamplingError("path 4 failed")
+        return cv.optimize_path(*args, path_index=path_index, **kwargs)
+
+    monkeypatch.setattr(barrier, "optimize_path", flaky)
+    monkeypatch.setattr(barrier, "_cpu_count", lambda: 4)
+    before = set(threading.enumerate())
+    with pytest.raises(cv.SamplingError, match="path 2 failed"):
+        cv.barrier_pair(five_ion_pair[0], five_ion_pair[1], params,
+                        bare_trap_21, species)
+    assert four_failed.is_set()
+    assert sorted(ran) == list(range(params.n_paths))
+    assert set(threading.enumerate()) <= before
+    assert threading.active_count() == len(before)
 
 
 def test_walk_converges_at_thirty_ions(bare_trap_21, species):
