@@ -35,11 +35,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
 from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .core import CONST
-from .equilibrium import EquilibriumResult, align_configurations
+from .equilibrium import (
+    EquilibriumResult,
+    _square_distance,
+    _xy,
+    align_configurations,
+)
 from .errors import DomainError, SamplingError
 from .potential import planar_energy, planar_energy_batch
 
@@ -86,22 +91,45 @@ class BarrierPath:
         return s / s[-1] if s[-1] > 0 else s
 
 
-def _xy_flat(config):
-    if isinstance(config, EquilibriumResult):
-        return config.xy_flat
-    return np.asarray(config, dtype=float).ravel().copy()
+# (x, y) -> (+-x, +-y): the symmetries of an anisotropic trap, identity first
+_AXIS_FLIPS = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
 
 
-def _endpoints(x0, xf, align):
-    """Flat start and target points; the target is aligned onto the start if align."""
-    start = _xy_flat(x0)
-    target = _xy_flat(xf)
+def _align_axis_flips(reference, other):
+    """`other` matched onto `reference` over the four axis sign flips.
+
+    Each flip gets its optimal relabeling; the first flip of smallest rms
+    wins. Both are (N, 2) arrays; returns the aligned points.
+    """
+    rx, ry = reference[:, 0, None], reference[:, 1, None]
+    best_ms, best = math.inf, None
+    for flip in _AXIS_FLIPS:
+        cand = other * flip
+        cost = _square_distance(rx, ry, cand[:, 0], cand[:, 1])
+        rows, cols = linear_sum_assignment(cost)
+        ms = cost[rows, cols].mean()
+        if ms < best_ms:
+            best_ms, best = ms, cand[cols]
+    return best
+
+
+def _endpoints(x0, xf, align, trap):
+    """Flat start and target points; the target is aligned onto the start if align.
+
+    The alignment runs over the trap's symmetries only: every rotation and
+    reflection in an isotropic trap, the four axis sign flips otherwise, so
+    the aligned target is the same minimum as xf.
+    """
+    start = _xy(x0).ravel().copy()
+    target = _xy(xf).ravel().copy()
     if start.shape != target.shape:
         raise DomainError("endpoint configurations differ in size")
     if align:
-        aligned, _, _ = align_configurations(
-            start.reshape(-1, 2), target.reshape(-1, 2)
-        )
+        ref, other = start.reshape(-1, 2), target.reshape(-1, 2)
+        if trap.omega_x_dc == trap.omega_y_dc:
+            aligned, _, _ = align_configurations(ref, other)
+        else:
+            aligned = _align_axis_flips(ref, other)
         target = aligned.ravel()
     return start, target
 
@@ -225,7 +253,7 @@ def propose_step(x_i, x_f, params, rng, trap, species):
 
 def optimize_path(x0, xf, params, trap, species, path_index=0):
     """One biased walk from x0 toward xf; returns the visited BarrierPath."""
-    start, target = _endpoints(x0, xf, params.align)
+    start, target = _endpoints(x0, xf, params.align, trap)
     dist = np.linalg.norm(start - target)
     if dist == 0.0:
         raise DomainError("endpoints are the same configuration")
@@ -287,7 +315,8 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     from either end, so one peak yields barrier_from_start (peak minus the
     start energy) and barrier_from_other (the same peak minus the other
     configuration's energy), both in K. With params.align the target is
-    aligned onto the start once, and every path walks toward that target.
+    aligned onto the start once, over the trap's symmetries, and every path
+    walks toward that target.
 
     The paths run in min(n_paths, CPUs) threads. Each draws from its own
     seeded stream and reads only the shared endpoints, trap and species,
@@ -295,7 +324,7 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     If paths raise, the error of the lowest failing index is raised once
     every path has ended, as a serial loop over the indices would raise.
     """
-    _, target = _endpoints(eq_start, eq_other, params.align)
+    _, target = _endpoints(eq_start, eq_other, params.align, trap)
     walk = replace(params, align=False)
     with ThreadPoolExecutor(max_workers=min(params.n_paths, _cpu_count())) as pool:
         futures = [
@@ -310,7 +339,7 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     e_other = (
         eq_other.energy
         if isinstance(eq_other, EquilibriumResult)
-        else planar_energy(_xy_flat(eq_other), trap, species)
+        else planar_energy(_xy(eq_other), trap, species)
     )
     return {
         "paths": paths,

@@ -69,6 +69,18 @@ TASKS = (
 
 MHZ = 2.0 * math.pi * 1e6
 
+# every key a task reads; any other key is a ValidationError
+CONFIG_KEYS = frozenset({
+    "task", "seed", "output_dir", "species_file",
+    "omega_r_mhz", "omega_x_mhz", "omega_y_mhz", "anisotropy",
+    "wavelength_nm", "waist_um", "lattice_variant", "finesse",
+    "depth_mk", "omega_z_mhz", "intensity_w_m2", "power_w",
+    "n_ions", "n_ions_list", "n_restarts", "w0_values_um", "waists_um",
+    "n_samples", "t_p_mk", "n_paths",
+    "sdf_wavelength_nm", "rabi_khz", "mu_mhz", "mu_over_max", "mu_over_max_list",
+    "gas", "pressure_mbar", "temperature_k",
+})
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -637,6 +649,9 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     """Execute one task; returns a RunManifest. Raises on failure."""
     start = time.monotonic()
     cfg = load_config(config_path)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}")
 
     task = task or cfg.get("task")
     if task in _TASK_ALIASES:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult
+from .equilibrium import _xy
 from .potential import coulomb_z_block, optical_z_curvature, planar_hessian
 
 OUT_OF_PLANE = "out_of_plane"
@@ -61,15 +61,9 @@ class ModeSpectrum:
         return self.vectors[2::3, mode_index]
 
 
-def _xy_of(eq):
-    if isinstance(eq, EquilibriumResult):
-        return eq.xy
-    return np.asarray(eq, dtype=float).reshape(-1, 2)
-
-
 def normal_modes(eq, trap, species):
     """Eigendecomposition of the mass-weighted Hessian at a planar equilibrium."""
-    xy = _xy_of(eq)
+    xy = _xy(eq)
     n = len(xy)
     m = species.mass
 
@@ -146,7 +140,7 @@ def label_modes(spectrum, eq):
     since individual eigenvectors of a degenerate pair are arbitrary.
     Returns a new spectrum; in-plane modes keep label None.
     """
-    xy = _xy_of(eq)
+    xy = _xy(eq)
     basis = _label_basis(xy)
     z_idx = spectrum.select(OUT_OF_PLANE)
     vecs = spectrum.vectors.copy()

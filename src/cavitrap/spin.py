@@ -20,7 +20,7 @@ import numpy as np
 from .core import CONST
 from .errors import DomainError, FitError, ResonanceError
 from .modes import OUT_OF_PLANE
-from .equilibrium import EquilibriumResult
+from .equilibrium import _xy
 
 RESONANCE_TOL_FACTOR = 1e-3
 
@@ -97,7 +97,7 @@ def compute_jij(spectrum, eq, drive):
 
 def fit_beta(graph, eq):
     """Power-law exponent of |J| versus pair distance, (beta, residual RMS)."""
-    xy = eq.xy if isinstance(eq, EquilibriumResult) else np.asarray(eq).reshape(-1, 2)
+    xy = _xy(eq)
     n = len(xy)
     iu = np.triu_indices(n, 1)
     r = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)[iu]

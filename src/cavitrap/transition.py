@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ANTINODE_COS2, depth_for_aspect
-from .equilibrium import find_equilibria
+from .equilibrium import _xy, find_equilibria
 from .errors import BracketError, CavitrapError, FitError
 from .potential import coulomb_z_block, optical_z_curvature
 
@@ -74,7 +74,7 @@ def find_alpha_tr(eq, trap, species):
 
 def alpha_tr_uniform(eq, trap, species):
     """Closed-form transition point in the uniform-waist (large w0) limit."""
-    xy = eq.xy if hasattr(eq, "xy") else np.asarray(eq, dtype=float).reshape(-1, 2)
+    xy = _xy(eq)
     if len(xy) == 1:
         return 0.0
     a_over_m = coulomb_z_block(xy) / species.mass

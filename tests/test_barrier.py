@@ -265,6 +265,35 @@ def test_barrier_pair_aligns_once(five_ion_pair, bare_trap_21, species,
     assert result["peaks"] == per_path
 
 
+class _TargetCaptured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, anisotropy", [(9, 0.07), (6, 0.0)])
+def test_aligned_target_is_the_other_minimum(n, anisotropy, bare_trap_21, species,
+                                            monkeypatch):
+    """Alignment uses only the trap's symmetries, so the target keeps its energy.
+
+    At 7 % anisotropy a rotation of the N = 9 target by the isotropic
+    alignment is no symmetry, and left it 330 mK above the other minimum.
+    """
+    trap = cv.make_trap(bare_trap_21.omega_x_dc, bare_trap_21.optical,
+                        anisotropy=anisotropy)
+    eqs = cv.find_equilibria(n, trap, species, n_restarts=40, seed=0)
+    targets = []
+
+    def captured(x0, xf, *args, **kwargs):
+        targets.append(xf)
+        raise _TargetCaptured
+
+    monkeypatch.setattr(barrier, "optimize_path", captured)
+    with pytest.raises(_TargetCaptured):
+        cv.barrier_pair(eqs[0], eqs[1], cv.BarrierWalkParams(n_paths=1),
+                        trap, species)
+    energy = cv.planar_energy(targets[0], trap, species)
+    assert energy == pytest.approx(eqs[1].energy, rel=1e-12, abs=0.0)
+
+
 def test_barrier_pair_threads_match_serial_walks(five_ion_pair, bare_trap_21,
                                                 species, monkeypatch):
     """More threads than cores and a switch every microsecond change no bit."""

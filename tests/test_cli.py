@@ -139,6 +139,26 @@ def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
     assert key in diagnostic["message"]
 
 
+def test_exit_3_on_unknown_key(tmp_path, capsys):
+    """A typo such as n_restart is rejected, not ignored in favour of a default."""
+    path = write_config(tmp_path / "cfg.json", n_ions=4, n_restart=4)
+    code = cli.main(["equilibrate", "--config", path, "--out", str(tmp_path)])
+    assert code == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert "n_restart" in diagnostic["message"]
+    assert not (tmp_path / "equilibria_summary.csv").exists()
+
+
+def test_barrier_n20_walks_between_distinct_crystals(tmp_path):
+    """N = 20 once returned copies of one crystal, 0.03 mK apart, as a barrier."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=20, n_paths=2, n_samples=300)
+    out = tmp_path / "out"
+    assert cli.main(["barrier", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "barriers.json").read_text())
+    assert payload["barrier_stable_mk"] - payload["barrier_metastable_mk"] > 100.0
+
+
 @pytest.mark.parametrize("task, extra, key", [
     pytest.param("transition-scan", dict(n_ions_list=[5, "ten"]), "n_ions_list",
                  id="n_ions_list-entry"),
