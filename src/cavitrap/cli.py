@@ -148,7 +148,7 @@ def _fmt(x):
 
 
 def _build_species(cfg):
-    return load_species(cfg.get("species_file", "yb171"))
+    return load_species(_text(cfg, "species_file", "yb171"))
 
 
 def _build_trap(cfg, species):
@@ -219,6 +219,14 @@ def _number(cfg, key, default=None, integer=False):
     return int(value) if integer else value
 
 
+def _text(cfg, key, default):
+    """String config value; anything else is a ValidationError naming the key."""
+    value = cfg.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _numbers(cfg, key, integer=False):
     """Required list of finite numbers, each as int if integer.
 
@@ -242,12 +250,11 @@ def _is_number(value, integer=False):
             and (not integer or value == int(value)))
 
 
-def _equilibria(n, cfg, trap, species, seed, threads):
+def _equilibria(n, cfg, trap, species, seed):
     """find_equilibria for n ions with the config's n_restarts (default 50)."""
     return find_equilibria(
         n, trap, species,
-        n_restarts=_number(cfg, "n_restarts", 50, integer=True),
-        seed=seed, threads=threads,
+        n_restarts=_number(cfg, "n_restarts", 50, integer=True), seed=seed,
     )
 
 
@@ -259,9 +266,9 @@ def _laser_omega(trap):
 # task implementations; each returns (outputs, warnings)
 
 
-def _task_equilibrate(cfg, trap, species, seed, threads, out):
+def _task_equilibrate(cfg, trap, species, seed, out):
     n = _number(cfg, "n_ions", integer=True)
-    eqs = _equilibria(n, cfg, trap, species, seed, threads)
+    eqs = _equilibria(n, cfg, trap, species, seed)
     outputs, warnings = [], []
     summary_rows = []
     sidecar = []
@@ -301,9 +308,9 @@ def _task_equilibrate(cfg, trap, species, seed, threads, out):
     return outputs, warnings
 
 
-def _task_modes(cfg, trap, species, seed, threads, out):
+def _task_modes(cfg, trap, species, seed, out):
     n = _number(cfg, "n_ions", integer=True)
-    eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
+    eq = _equilibria(n, cfg, trap, species, seed)[0]
     spectrum = label_modes(normal_modes(eq, trap, species), eq)
     rows = [
         [
@@ -326,12 +333,11 @@ def _task_modes(cfg, trap, species, seed, threads, out):
     return [path_csv, path_json], []
 
 
-def _task_transition_scan(cfg, trap, species, seed, threads, out):
+def _task_transition_scan(cfg, trap, species, seed, out):
     n_values = _numbers(cfg, "n_ions_list", integer=True)
     points = transition_scan(
         n_values, trap, species,
-        n_restarts=_number(cfg, "n_restarts", 12, integer=True),
-        seed=seed, threads=threads,
+        n_restarts=_number(cfg, "n_restarts", 12, integer=True), seed=seed,
     )
     rows = [
         [p.n_ions, _fmt(trap.optical.waist), _fmt(p.w0_over_rmax),
@@ -360,7 +366,7 @@ def _task_transition_scan(cfg, trap, species, seed, threads, out):
     return outputs, warnings
 
 
-def _task_waist_scan(cfg, trap, species, seed, threads, out):
+def _task_waist_scan(cfg, trap, species, seed, out):
     n = _number(cfg, "n_ions", integer=True)
     w0_values = [w * 1e-6 for w in _numbers(cfg, "w0_values_um")]
     records = waist_sweep(
@@ -385,9 +391,9 @@ def _task_waist_scan(cfg, trap, species, seed, threads, out):
     return [path], warnings
 
 
-def _task_barrier(cfg, trap, species, seed, threads, out):
+def _task_barrier(cfg, trap, species, seed, out):
     n = _number(cfg, "n_ions", integer=True)
-    eqs = _equilibria(n, cfg, trap, species, seed, threads)
+    eqs = _equilibria(n, cfg, trap, species, seed)
     if len(eqs) < 2:
         raise DomainError(
             f"single equilibrium for N = {n}; no barrier to compute"
@@ -444,9 +450,9 @@ def _task_barrier(cfg, trap, species, seed, threads, out):
     return outputs, warnings
 
 
-def _task_spin(cfg, trap, species, seed, threads, out):
+def _task_spin(cfg, trap, species, seed, out):
     n = _number(cfg, "n_ions", integer=True)
-    eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
+    eq = _equilibria(n, cfg, trap, species, seed)[0]
     spectrum = normal_modes(eq, trap, species)
     z_max = spectrum.omega[spectrum.select("out_of_plane")].max()
 
@@ -506,7 +512,7 @@ def _task_spin(cfg, trap, species, seed, threads, out):
     return outputs, warnings
 
 
-def _task_lifetime(cfg, trap, species, seed, threads, out):
+def _task_lifetime(cfg, trap, species, seed, out):
     n = _number(cfg, "n_ions", integer=True)
     omega_l = _laser_omega(trap)
     if "intensity_w_m2" in cfg:
@@ -517,7 +523,7 @@ def _task_lifetime(cfg, trap, species, seed, threads, out):
         raise ValidationError("lifetime task needs intensity_w_m2 or a depth key")
     est = lifetime_estimate(species, omega_l, intensity, n)
 
-    gas = load_gas(cfg.get("gas", "H2"))
+    gas = load_gas(_text(cfg, "gas", "H2"))
     pressure = _number(cfg, "pressure_mbar", 1e-11) * 100.0  # mbar to Pa
     temperature = _number(cfg, "temperature_k", 300.0)
     collision = langevin_rate(
@@ -580,7 +586,7 @@ def _select_waist(eq, trap, species):
     return WAIST_RULE_GRID[-1] * eq.r_max
 
 
-def _task_table_one(cfg, trap, species, seed, threads, out):
+def _task_table_one(cfg, trap, species, seed, out):
     explicit = (
         _numbers(cfg, "waists_um") if cfg.get("waists_um") is not None else None
     )
@@ -592,7 +598,7 @@ def _task_table_one(cfg, trap, species, seed, threads, out):
     warnings = []
     for idx, n in enumerate(TABLE_ONE_N):
         try:
-            eq = _equilibria(n, cfg, trap, species, seed, threads)[0]
+            eq = _equilibria(n, cfg, trap, species, seed)[0]
             w0 = (
                 explicit[idx] * 1e-6
                 if explicit is not None
@@ -647,24 +653,26 @@ _TASK_ALIASES = {name.title().replace("-", ""): name for name in TASKS}
 
 def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     """Execute one task; returns a RunManifest. Raises on failure."""
+    if threads is not None:  # a removed option; the slot stays for positional callers
+        raise ValidationError("the threads option was removed; restarts run serially")
     start = time.monotonic()
     cfg = load_config(config_path)
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config keys {unknown}")
 
-    task = task or cfg.get("task")
+    task = task or _text(cfg, "task", "")
     if task in _TASK_ALIASES:
         task = _TASK_ALIASES[task]
     if task not in _TASK_IMPL:
         raise ValidationError(f"unknown task {task!r}; choose from {TASKS}")
     seed = int(seed) if seed is not None else _number(cfg, "seed", 0, integer=True)
-    out = out_dir or cfg.get("output_dir", ".")
+    out = out_dir or _text(cfg, "output_dir", ".")
     os.makedirs(out, exist_ok=True)
 
     species = _build_species(cfg)
     trap = _build_trap(cfg, species)
-    outputs, warnings = _TASK_IMPL[task](cfg, trap, species, seed, threads, out)
+    outputs, warnings = _TASK_IMPL[task](cfg, trap, species, seed, out)
 
     effective = dict(cfg)
     effective["task"] = task
@@ -699,7 +707,6 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -712,7 +719,6 @@ def main(argv=None):
             args.config,
             task=args.task,
             seed=args.seed,
-            threads=args.threads,
             out_dir=args.out,
         )
     except (OSError, json.JSONDecodeError) as exc:

@@ -9,6 +9,7 @@ trap depth, and the effective harmonic frequencies at the trap center.
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -101,6 +102,8 @@ def load_species(source):
     metastable_lifetime_ms, and optionally polarizability_offset_au and
     label.
     """
+    if not isinstance(source, (str, os.PathLike)):
+        raise ValidationError(f"species source must be a name or a path, got {source!r}")
     try:
         path = resources.files("cavitrap.data").joinpath(f"{source}.json")
         if path.is_file():
@@ -108,7 +111,7 @@ def load_species(source):
         else:
             with open(source) as fh:
                 raw = json.load(fh)
-    except (OSError, TypeError) as exc:
+    except OSError as exc:
         raise ValidationError(f"cannot read species data {source!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"species file {source!r} is not valid JSON: {exc}") from exc

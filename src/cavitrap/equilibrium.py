@@ -3,8 +3,8 @@
 The search runs in scaled units (lengths over the Coulomb length ell,
 energies over e^2/(4 pi eps0 ell)) because SI crystal energies are ~1e-19 J
 and quasi-Newton stopping tests with absolute floors stall there. Each
-restart draws its own RNG stream from (seed, restart_index), so results are
-reproducible regardless of execution order. Two converged restarts are the
+restart draws its own RNG stream from (seed, restart_index), and the
+restarts run one after another in index order. Two converged restarts are the
 same crystal exactly when their energies agree to ENERGY_MATCH_RTOL: the
 energy is invariant under rotation, reflection and relabeling, so no
 alignment is needed. Copies of one crystal (exact images, or shells turned
@@ -18,7 +18,6 @@ genuinely negative curvature is rejected.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,7 +264,7 @@ def _one_restart(n_ions, trap, species, seed, index, ell, echar, fchar, grad_tol
     return x, e, gnorm
 
 
-def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
+def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0):
     """All distinct planar equilibria found over n_restarts random starts.
 
     Returns EquilibriumResults sorted by energy; the first is labeled
@@ -279,18 +278,9 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0, threads=None):
     fchar = CONST.coulomb_coefficient / ell**2
     grad_tol = 1e-8 * fchar
 
-    args = [
-        (n_ions, trap, species, seed, k, ell, echar, fchar, grad_tol)
-        for k in range(n_restarts)
-    ]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(lambda a: _one_restart(*a), args))
-    else:
-        raw = [_one_restart(*a) for a in args]
-
     found = []  # list of [x, energy, gradient norm, count]
-    for item in raw:
+    for k in range(n_restarts):
+        item = _one_restart(n_ions, trap, species, seed, k, ell, echar, fchar, grad_tol)
         if item is None:
             continue
         x, e, gnorm = item

@@ -54,13 +54,12 @@ class SpinGraph:
     beta_fit: tuple = None         # (beta, residual) once fitted
 
 
-def uniform_drive(n_ions, mu, rabi, recoil_energy, **kwargs):
+def uniform_drive(n_ions, mu, rabi, recoil_energy):
     """Single SDF with the same Rabi frequency on every ion."""
     return SpinDriveConfig(
         mu=(float(mu),),
         rabi=np.full((n_ions, 1), float(rabi)),
         recoil_energy=recoil_energy,
-        **kwargs,
     )
 
 

@@ -101,12 +101,11 @@ def fit_power_law(points):
     )
 
 
-def transition_scan(n_values, trap, species, n_restarts=12, seed=0, threads=None):
+def transition_scan(n_values, trap, species, n_restarts=12, seed=0):
     """alpha_tr of the stable configuration for each N in n_values."""
     out = []
     for n in n_values:
-        eqs = find_equilibria(n, trap, species, n_restarts=n_restarts, seed=seed,
-                              threads=threads)
+        eqs = find_equilibria(n, trap, species, n_restarts=n_restarts, seed=seed)
         out.append(find_alpha_tr(eqs[0], trap, species))
     return out
 

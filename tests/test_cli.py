@@ -150,6 +150,44 @@ def test_exit_3_on_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "equilibria_summary.csv").exists()
 
 
+@pytest.mark.parametrize("task, extra, key", [
+    pytest.param("equilibrate", dict(species_file=True), "species_file",
+                 id="species_file-true"),
+    pytest.param("equilibrate", dict(species_file=0), "species_file",
+                 id="species_file-zero"),
+    pytest.param("lifetime", dict(gas=["H2"]), "gas", id="gas-list"),
+    pytest.param("lifetime", dict(gas={"a": 1}), "gas", id="gas-object"),
+    pytest.param("equilibrate", dict(output_dir=5), "output_dir", id="output_dir-number"),
+])
+def test_exit_3_on_wrongly_typed_text(tmp_path, capsys, task, extra, key):
+    path = write_config(
+        tmp_path / "cfg.json", n_ions=4, n_restarts=4, depth_mk=1.0, **extra,
+    )
+    argv = [task, "--config", path]
+    if key != "output_dir":
+        argv += ["--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert key in diagnostic["message"]
+
+
+def test_config_task_of_wrong_type_rejected(tmp_path):
+    path = write_config(tmp_path / "cfg.json", task=["x"], n_ions=4)
+    with pytest.raises(cli.ValidationError, match="'task'"):
+        cli.run(path, out_dir=str(tmp_path))
+
+
+def test_threads_option_removed(tmp_path):
+    path = write_config(tmp_path / "cfg.json", n_ions=4, n_restarts=4)
+    with pytest.raises(cli.ValidationError, match="threads"):
+        cli.run(path, threads=2, out_dir=str(tmp_path))
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["equilibrate", "--config", path, "--threads", "2"])
+    assert stop.value.code == 2
+    assert not (tmp_path / "equilibria_summary.csv").exists()
+
+
 def test_barrier_n20_walks_between_distinct_crystals(tmp_path):
     """N = 20 once returned copies of one crystal, 0.03 mK apart, as a barrier."""
     cfg = write_config(tmp_path / "cfg.json", n_ions=20, n_paths=2, n_samples=300)

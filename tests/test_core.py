@@ -58,6 +58,10 @@ def test_species_file_errors(tmp_path):
     incomplete.write_text(json.dumps({"mass_amu": 1.0}))
     with pytest.raises(cv.ValidationError):
         cv.load_species(str(incomplete))
+    # True and 0 would open file descriptors 1 and 0
+    for source in (True, 0, ["yb171"]):
+        with pytest.raises(cv.ValidationError):
+            cv.load_species(source)
 
 
 def test_species_validation():

@@ -74,14 +74,6 @@ def test_determinism(bare_trap_21, species):
         assert np.array_equal(ea.positions, eb.positions)
 
 
-def test_threaded_matches_serial(bare_trap_21, species):
-    a = cv.find_equilibria(5, bare_trap_21, species, n_restarts=8, seed=2)
-    b = cv.find_equilibria(5, bare_trap_21, species, n_restarts=8, seed=2, threads=4)
-    assert len(a) == len(b)
-    for ea, eb in zip(a, b):
-        assert np.array_equal(ea.positions, eb.positions)
-
-
 @pytest.mark.parametrize("n, n_restarts, n_minima", [
     (19, 50, 2),  # soft shell rotation gave 19 "minima"
     (20, 50, 2),  # 22, 21 of them copies of one (1,7,12) crystal
