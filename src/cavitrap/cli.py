@@ -69,17 +69,104 @@ TASKS = (
 
 MHZ = 2.0 * math.pi * 1e6
 
-# every key a task reads; any other key is a ValidationError
-CONFIG_KEYS = frozenset({
-    "task", "seed", "output_dir", "species_file",
-    "omega_r_mhz", "omega_x_mhz", "omega_y_mhz", "anisotropy",
-    "wavelength_nm", "waist_um", "lattice_variant", "finesse",
-    "depth_mk", "omega_z_mhz", "intensity_w_m2", "power_w",
-    "n_ions", "n_ions_list", "n_restarts", "w0_values_um", "waists_um",
-    "n_samples", "t_p_mk", "n_paths",
-    "sdf_wavelength_nm", "rabi_khz", "mu_mhz", "mu_over_max", "mu_over_max_list",
-    "gas", "pressure_mbar", "temperature_k",
-})
+REQUIRED = object()  # default of a key that every task reading it needs
+
+# value kinds, each phrased for the ValidationError that names a wrong value
+NUMBER = "a number"  # finite
+INTEGER = "a non-negative integer"  # 5.0 counts as 5
+TEXT = "a string"
+NUMBERS = "a list of numbers"
+INTEGERS = "a list of non-negative integers"
+
+# Every config key as (kind, default); any other key is a ValidationError.
+# A default of None marks an optional key with no default, where a JSON
+# null counts as absent.
+CONFIG_TABLE = {
+    "task": (TEXT, ""),
+    "seed": (INTEGER, 0),
+    "output_dir": (TEXT, "."),
+    "species_file": (TEXT, "yb171"),         # shipped species name or JSON path
+    "omega_r_mhz": (NUMBER, 0.5),            # MHz, radial DC frequency / 2 pi
+    "omega_x_mhz": (NUMBER, None),           # MHz; given with omega_y_mhz, both
+    "omega_y_mhz": (NUMBER, None),           # replace omega_r_mhz and anisotropy
+    "anisotropy": (NUMBER, 0.0),             # omega_y / omega_x - 1
+    "wavelength_nm": (NUMBER, 1064.0),       # nm
+    "waist_um": (NUMBER, 100.0),             # um
+    "lattice_variant": (TEXT, "node_sin2"),  # node_sin2 | antinode_cos2
+    "finesse": (NUMBER, 3000.0),
+    "depth_mk": (NUMBER, None),              # mK; optical depth, first of these four
+    "omega_z_mhz": (NUMBER, None),           # MHz, axial frequency / 2 pi
+    "intensity_w_m2": (NUMBER, None),        # W/m^2, intracavity intensity
+    "power_w": (NUMBER, None),               # W, input power
+    "n_ions": (INTEGER, REQUIRED),
+    "n_ions_list": (INTEGERS, REQUIRED),
+    "n_restarts": (INTEGER, 50),             # 12 in transition-scan and waist-scan
+    "w0_values_um": (NUMBERS, REQUIRED),     # um
+    "waists_um": (NUMBERS, None),            # um, one per N of Table I
+    "n_samples": (INTEGER, 1000),
+    "t_p_mk": (NUMBER, 1.0),                 # mK, walk temperature
+    "n_paths": (INTEGER, 10),
+    "sdf_wavelength_nm": (NUMBER, 355.0),    # nm
+    "rabi_khz": (NUMBER, 50.0),              # kHz
+    "mu_mhz": (NUMBER, None),                # MHz, drive frequency / 2 pi
+    "mu_over_max": (NUMBER, 1.002),          # mu / highest out-of-plane mode
+    "mu_over_max_list": (NUMBERS, None),     # sweep of mu_over_max
+    "gas": (TEXT, "H2"),                     # name in the shipped gases.json
+    "pressure_mbar": (NUMBER, 1e-11),        # mbar
+    "temperature_k": (NUMBER, 300.0),        # K
+}
+
+
+class Config:
+    """A config's values, read by key against CONFIG_TABLE.
+
+    ``used`` maps every key read so far to the value the run used,
+    defaults included; the manifest hashes it.
+    """
+
+    def __init__(self, given):
+        unknown = sorted(set(given) - set(CONFIG_TABLE))
+        if unknown:
+            raise ValidationError(f"unknown config keys {unknown}")
+        self.given = given
+        self.used = {}
+
+    def read(self, key, default=None):
+        """The value of key; default, when given, stands in for the table's.
+
+        A missing REQUIRED key, or a value of the wrong kind, is a
+        ValidationError naming the key. Integers come back as int; any
+        other value comes back unconverted, so a config int echoed into a
+        data file keeps its form and the file's bytes do not change.
+        """
+        kind, table_default = CONFIG_TABLE[key]
+        default = table_default if default is None else default
+        value = self.given.get(key, default)
+        if value is None and default is None:  # optional key, absent or null
+            pass
+        elif value is REQUIRED:
+            raise ValidationError(f"config key {key!r} is required for this task")
+        elif not _is_kind(value, kind):
+            raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
+        elif kind == INTEGER:
+            value = int(value)
+        elif kind == INTEGERS:
+            value = [int(v) for v in value]
+        self.used[key] = value
+        return value
+
+
+def _is_kind(value, kind):
+    if kind == TEXT:
+        return isinstance(value, str)
+    if kind in (NUMBERS, INTEGERS):
+        entry = NUMBER if kind == NUMBERS else INTEGER
+        return isinstance(value, list) and all(_is_kind(v, entry) for v in value)
+    # the bound also rejects an int too large for a float, on which
+    # math.isfinite would raise OverflowError
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max
+            and (kind == NUMBER or (value >= 0 and value == int(value))))
 
 
 @dataclass(frozen=True)
@@ -118,12 +205,12 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
+def _csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _json_default(obj):
@@ -134,12 +221,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_json(path, payload):
-    _atomic_write(
-        path,
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-        + "\n",
-    )
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _fmt(x):
@@ -147,114 +230,52 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _build_species(cfg):
-    return load_species(_text(cfg, "species_file", "yb171"))
-
-
 def _build_trap(cfg, species):
     """TrapConfig from laboratory-unit config keys.
 
-    Optical depth resolves from the first present of depth_mk,
+    omega_x_mhz and omega_y_mhz, if either is given, are both required and
+    replace omega_r_mhz and anisotropy. Optical depth resolves from the first present of depth_mk,
     omega_z_mhz (inverted through the axial curvature relation),
     intensity_w_m2, power_w; default is zero depth. power_w is checked
     whenever it is present.
     """
-    if "omega_x_mhz" in cfg or "omega_y_mhz" in cfg:
-        omega_x = _number(cfg, "omega_x_mhz") * MHZ
-        omega_y = _number(cfg, "omega_y_mhz") * MHZ
+    if cfg.read("omega_x_mhz") is None and cfg.read("omega_y_mhz") is None:
+        omega_x = cfg.read("omega_r_mhz") * MHZ
+        omega_y = omega_x * (1.0 + cfg.read("anisotropy"))
     else:
-        omega_x = _number(cfg, "omega_r_mhz", 0.5) * MHZ
-        omega_y = omega_x * (1.0 + _number(cfg, "anisotropy", 0.0))
+        omega_x = cfg.read("omega_x_mhz", REQUIRED) * MHZ
+        omega_y = cfg.read("omega_y_mhz", REQUIRED) * MHZ
 
     optical = OpticalTrapConfig(
-        wavelength=_number(cfg, "wavelength_nm", 1064.0) * 1e-9,
-        waist=_number(cfg, "waist_um", 100.0) * 1e-6,
+        wavelength=cfg.read("wavelength_nm") * 1e-9,
+        waist=cfg.read("waist_um") * 1e-6,
         depth=0.0,
-        lattice_variant=cfg.get("lattice_variant", "node_sin2"),
-        finesse=_number(cfg, "finesse", 3000.0),
+        lattice_variant=cfg.read("lattice_variant"),
+        finesse=cfg.read("finesse"),
     )
-    power = _number(cfg, "power_w") if "power_w" in cfg else None
+    power = cfg.read("power_w")
     trap = TrapConfig(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
 
-    if "depth_mk" in cfg:
-        depth = _number(cfg, "depth_mk") * 1e-3 * CONST.boltzmann
-    elif "omega_z_mhz" in cfg:
+    if cfg.read("depth_mk") is not None:
+        depth = cfg.read("depth_mk") * 1e-3 * CONST.boltzmann
+    elif cfg.read("omega_z_mhz") is not None:
         depth = depth_for_aspect(
-            trap, species, _number(cfg, "omega_z_mhz") * MHZ / trap.omega_r
+            trap, species, cfg.read("omega_z_mhz") * MHZ / trap.omega_r
         )
-    elif "intensity_w_m2" in cfg:
-        kappa = stark_coefficient(
-            species, 2.0 * math.pi * CONST.speed_of_light / optical.wavelength
-        )
-        depth = kappa * _number(cfg, "intensity_w_m2")
-    elif power is not None:
-        intensity = intensity_from_power(power, optical.finesse, optical.waist)
-        kappa = stark_coefficient(
-            species, 2.0 * math.pi * CONST.speed_of_light / optical.wavelength
-        )
-        depth = kappa * intensity
+    elif cfg.read("intensity_w_m2") is not None or power is not None:
+        intensity = cfg.read("intensity_w_m2")
+        if intensity is None:
+            intensity = intensity_from_power(power, optical.finesse, optical.waist)
+        depth = stark_coefficient(species, _laser_omega(trap)) * intensity
     else:
         depth = 0.0
     return trap.with_depth(depth)
 
 
-def _need(cfg, key):
-    if key not in cfg:
-        raise ValidationError(f"config key {key!r} is required for this task")
-    return cfg[key]
-
-
-def _number(cfg, key, default=None, integer=False):
-    """Finite numeric config value, as int if integer; required if no default.
-
-    A value of the wrong type, or a non-integral value of an integer key,
-    is a ValidationError naming the key; an integral float such as 5.0
-    counts as 5. Float keys come back unconverted: a config int echoed
-    into a data file keeps its form, so the file's bytes do not change.
-    """
-    value = _need(cfg, key) if default is None else cfg.get(key, default)
-    if not _is_number(value, integer):
-        kind = "an integer" if integer else "a number"
-        raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
-    return int(value) if integer else value
-
-
-def _text(cfg, key, default):
-    """String config value; anything else is a ValidationError naming the key."""
-    value = cfg.get(key, default)
-    if not isinstance(value, str):
-        raise ValidationError(f"config key {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _numbers(cfg, key, integer=False):
-    """Required list of finite numbers, each as int if integer.
-
-    Anything else is a ValidationError naming the key, as in _number;
-    float entries come back unconverted.
-    """
-    values = _need(cfg, key)
-    if not isinstance(values, list) or not all(_is_number(v, integer) for v in values):
-        kind = "integers" if integer else "numbers"
-        raise ValidationError(
-            f"config key {key!r} must be a list of {kind}, got {values!r}"
-        )
-    return [int(v) for v in values] if integer else values
-
-
-def _is_number(value, integer=False):
-    # the bound also rejects an int too large for a float, on which
-    # math.isfinite would raise OverflowError
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and abs(value) <= sys.float_info.max
-            and (not integer or value == int(value)))
-
-
 def _equilibria(n, cfg, trap, species, seed):
-    """find_equilibria for n ions with the config's n_restarts (default 50)."""
+    """find_equilibria for n ions with the config's n_restarts."""
     return find_equilibria(
-        n, trap, species,
-        n_restarts=_number(cfg, "n_restarts", 50, integer=True), seed=seed,
+        n, trap, species, n_restarts=cfg.read("n_restarts"), seed=seed,
     )
 
 
@@ -263,23 +284,20 @@ def _laser_omega(trap):
 
 
 # --------------------------------------------------------------------------
-# task implementations; each returns (outputs, warnings)
+# task implementations; each returns (files, warnings), files being the
+# (file name, text) pairs to write, in order
 
 
-def _task_equilibrate(cfg, trap, species, seed, out):
-    n = _number(cfg, "n_ions", integer=True)
-    eqs = _equilibria(n, cfg, trap, species, seed)
-    outputs, warnings = [], []
+def _task_equilibrate(cfg, trap, species, seed):
+    eqs = _equilibria(cfg.read("n_ions"), cfg, trap, species, seed)
+    files, warnings = [], []
     summary_rows = []
     sidecar = []
     for i, eq in enumerate(eqs):
-        path = os.path.join(out, f"equilibrium_{i:02d}.csv")
-        _write_csv(
-            path,
+        files.append((f"equilibrium_{i:02d}.csv", _csv(
             ["ion_index", "x_m", "y_m"],
             [[j, _fmt(p[0]), _fmt(p[1])] for j, p in enumerate(eq.xy)],
-        )
-        outputs.append(path)
+        )))
         rings = ",".join(str(c) for c in eq.ring_configuration)
         summary_rows.append([
             i, eq.stability, _fmt(eq.energy), rings,
@@ -294,23 +312,17 @@ def _task_equilibrate(cfg, trap, species, seed, out):
         ))
         if eq.ring_ambiguous:
             warnings.append(f"configuration {i}: ring clustering ambiguous")
-    path = os.path.join(out, "equilibria_summary.csv")
-    _write_csv(
-        path,
+    files.append(("equilibria_summary.csv", _csv(
         ["config_index", "stability", "energy_j", "ring_configuration",
          "r_max_m", "d_min_m", "n_found_duplicates"],
         summary_rows,
-    )
-    outputs.append(path)
-    path = os.path.join(out, "equilibria.json")
-    _write_json(path, sidecar)
-    outputs.append(path)
-    return outputs, warnings
+    )))
+    files.append(("equilibria.json", _json(sidecar)))
+    return files, warnings
 
 
-def _task_modes(cfg, trap, species, seed, out):
-    n = _number(cfg, "n_ions", integer=True)
-    eq = _equilibria(n, cfg, trap, species, seed)[0]
+def _task_modes(cfg, trap, species, seed):
+    eq = _equilibria(cfg.read("n_ions"), cfg, trap, species, seed)[0]
     spectrum = label_modes(normal_modes(eq, trap, species), eq)
     rows = [
         [
@@ -322,56 +334,46 @@ def _task_modes(cfg, trap, species, seed, out):
         ]
         for m in range(spectrum.n_modes)
     ]
-    path_csv = os.path.join(out, "modes.csv")
-    _write_csv(
-        path_csv,
-        ["mode_index", "partition", "frequency_hz", "imaginary", "label"],
-        rows,
-    )
-    path_json = os.path.join(out, "eigenvectors.json")
-    _write_json(path_json, dict(vectors=spectrum.vectors.tolist()))
-    return [path_csv, path_json], []
+    return [
+        ("modes.csv", _csv(
+            ["mode_index", "partition", "frequency_hz", "imaginary", "label"],
+            rows,
+        )),
+        ("eigenvectors.json", _json(dict(vectors=spectrum.vectors.tolist()))),
+    ], []
 
 
-def _task_transition_scan(cfg, trap, species, seed, out):
-    n_values = _numbers(cfg, "n_ions_list", integer=True)
+def _task_transition_scan(cfg, trap, species, seed):
     points = transition_scan(
-        n_values, trap, species,
-        n_restarts=_number(cfg, "n_restarts", 12, integer=True), seed=seed,
+        cfg.read("n_ions_list"), trap, species,
+        n_restarts=cfg.read("n_restarts", 12), seed=seed,
     )
     rows = [
         [p.n_ions, _fmt(trap.optical.waist), _fmt(p.w0_over_rmax),
          _fmt(p.alpha_tr), p.stability]
         for p in points
     ]
-    path_csv = os.path.join(out, "transition_points.csv")
-    _write_csv(
-        path_csv,
-        ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"],
-        rows,
-    )
-    outputs = [path_csv]
+    files = [("transition_points.csv", _csv(
+        ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"], rows,
+    ))]
     warnings = []
     if len(points) >= 3:
         fit = fit_power_law([(p.n_ions, p.alpha_tr) for p in points])
-        path_json = os.path.join(out, "power_law_fit.json")
-        _write_json(
-            path_json,
+        files.append(("power_law_fit.json", _json(
             dict(prefactor=fit.prefactor, exponent=fit.exponent,
                  residual=fit.residual),
-        )
-        outputs.append(path_json)
+        )))
     else:
         warnings.append("fewer than 3 points, power-law fit skipped")
-    return outputs, warnings
+    return files, warnings
 
 
-def _task_waist_scan(cfg, trap, species, seed, out):
-    n = _number(cfg, "n_ions", integer=True)
-    w0_values = [w * 1e-6 for w in _numbers(cfg, "w0_values_um")]
+def _task_waist_scan(cfg, trap, species, seed):
+    n = cfg.read("n_ions")
+    w0_values = [w * 1e-6 for w in cfg.read("w0_values_um")]
     records = waist_sweep(
         n, trap, species, w0_values,
-        n_restarts=_number(cfg, "n_restarts", 12, integer=True), seed=seed,
+        n_restarts=cfg.read("n_restarts", 12), seed=seed,
     )
     rows, warnings = [], []
     for w0, point, error in records:
@@ -382,31 +384,27 @@ def _task_waist_scan(cfg, trap, species, seed, out):
             point.n_ions, _fmt(w0), _fmt(point.w0_over_rmax),
             _fmt(point.alpha_tr), point.stability,
         ])
-    path = os.path.join(out, "waist_scan.csv")
-    _write_csv(
-        path,
-        ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"],
-        rows,
-    )
-    return [path], warnings
+    return [("waist_scan.csv", _csv(
+        ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"], rows,
+    ))], warnings
 
 
-def _task_barrier(cfg, trap, species, seed, out):
-    n = _number(cfg, "n_ions", integer=True)
+def _task_barrier(cfg, trap, species, seed):
+    n = cfg.read("n_ions")
     eqs = _equilibria(n, cfg, trap, species, seed)
     if len(eqs) < 2:
         raise DomainError(
             f"single equilibrium for N = {n}; no barrier to compute"
         )
     params = BarrierWalkParams(
-        n_samples=_number(cfg, "n_samples", 1000, integer=True),
-        t_p=_number(cfg, "t_p_mk", 1.0) * 1e-3,
-        n_paths=_number(cfg, "n_paths", 10, integer=True),
+        n_samples=cfg.read("n_samples"),
+        t_p=cfg.read("t_p_mk") * 1e-3,
+        n_paths=cfg.read("n_paths"),
         seed=seed,
     )
     result = barrier_pair(eqs[0], eqs[1], params, trap, species)
 
-    outputs = []
+    files = []
     for k, path_obj in enumerate(result["paths"]):
         target = path_obj.points[-1]
         arc = path_obj.arc_length_coordinate
@@ -420,18 +418,13 @@ def _task_barrier(cfg, trap, species, seed, out):
             ]
             for step, (pt, e) in enumerate(zip(path_obj.points, path_obj.energies))
         ]
-        path = os.path.join(out, f"path_{k:02d}.csv")
-        _write_csv(
-            path,
+        files.append((f"path_{k:02d}.csv", _csv(
             ["step", "distance_to_final_m", "energy_j", "energy_mk",
              "path_coordinate"],
             rows,
-        )
-        outputs.append(path)
+        )))
 
-    path = os.path.join(out, "barriers.json")
-    _write_json(
-        path,
+    files.append(("barriers.json", _json(
         dict(
             n_ions=n,
             barrier_stable_mk=result["barrier_from_start"] * 1e3,
@@ -440,38 +433,34 @@ def _task_barrier(cfg, trap, species, seed, out):
             n_converged=result["n_converged"],
             n_paths=params.n_paths,
         ),
-    )
-    outputs.append(path)
+    )))
     warnings = []
     if result["n_converged"] < params.n_paths:
         warnings.append(
             f"only {result['n_converged']}/{params.n_paths} paths converged"
         )
-    return outputs, warnings
+    return files, warnings
 
 
-def _task_spin(cfg, trap, species, seed, out):
-    n = _number(cfg, "n_ions", integer=True)
+def _task_spin(cfg, trap, species, seed):
+    n = cfg.read("n_ions")
     eq = _equilibria(n, cfg, trap, species, seed)[0]
     spectrum = normal_modes(eq, trap, species)
     z_max = spectrum.omega[spectrum.select("out_of_plane")].max()
 
-    recoil = photon_recoil(_number(cfg, "sdf_wavelength_nm", 355.0) * 1e-9, species)
-    rabi = _number(cfg, "rabi_khz", 50.0) * 2.0 * math.pi * 1e3
-    if "mu_mhz" in cfg:
-        mu = _number(cfg, "mu_mhz") * MHZ
+    recoil = photon_recoil(cfg.read("sdf_wavelength_nm") * 1e-9, species)
+    rabi = cfg.read("rabi_khz") * 2.0 * math.pi * 1e3
+    if cfg.read("mu_mhz") is not None:
+        mu = cfg.read("mu_mhz") * MHZ
     else:
-        mu = _number(cfg, "mu_over_max", 1.002) * z_max
+        mu = cfg.read("mu_over_max") * z_max
     drive = uniform_drive(n, mu, rabi, recoil)
     graph = compute_jij(spectrum, eq, drive)
     beta, resid = fit_beta(graph, eq)
 
-    outputs = []
     header = ["ion"] + [str(i) for i in range(n)]
     rows = [[i] + [_fmt(v) for v in graph.j[i]] for i in range(n)]
-    path = os.path.join(out, "jij.csv")
-    _write_csv(path, header, rows)
-    outputs.append(path)
+    files = [("jij.csv", _csv(header, rows))]
 
     xy = eq.xy
     edge_rows = []
@@ -482,14 +471,14 @@ def _task_spin(cfg, trap, species, seed, out):
                 i, j, _fmt(r), _fmt(graph.j[i, j]),
                 "AF" if graph.j[i, j] > 0 else "FM",
             ])
-    path = os.path.join(out, "edges.csv")
-    _write_csv(path, ["i", "j", "r_m", "J_rad_per_s", "sign"], edge_rows)
-    outputs.append(path)
+    files.append(
+        ("edges.csv", _csv(["i", "j", "r_m", "J_rad_per_s", "sign"], edge_rows))
+    )
 
     sweep_rows = []
     warnings = []
-    if "mu_over_max_list" in cfg:
-        mu_values = [f * z_max for f in _numbers(cfg, "mu_over_max_list")]
+    if cfg.read("mu_over_max_list") is not None:
+        mu_values = [f * z_max for f in cfg.read("mu_over_max_list")]
         for rec in beta_sweep(spectrum, eq, mu_values, drive):
             if rec["error"] is not None:
                 warnings.append(f"mu = {rec['mu']:.6e} rad/s skipped: {rec['error']}")
@@ -498,42 +487,36 @@ def _task_spin(cfg, trap, species, seed, out):
                 _fmt(rec["mu"] / (2.0 * math.pi)), _fmt(rec["beta"]),
                 _fmt(rec["residual"]), _fmt(rec["af_fraction"]),
             ])
-        path = os.path.join(out, "beta_sweep.csv")
-        _write_csv(path, ["mu_hz", "beta", "residual", "af_fraction"], sweep_rows)
-        outputs.append(path)
+        files.append(("beta_sweep.csv", _csv(
+            ["mu_hz", "beta", "residual", "af_fraction"], sweep_rows,
+        )))
 
-    path = os.path.join(out, "spin_summary.json")
-    _write_json(
-        path,
+    files.append(("spin_summary.json", _json(
         dict(mu_rad_per_s=mu, beta=beta, residual=resid,
              af_fraction=graph.af_fraction),
-    )
-    outputs.append(path)
-    return outputs, warnings
+    )))
+    return files, warnings
 
 
-def _task_lifetime(cfg, trap, species, seed, out):
-    n = _number(cfg, "n_ions", integer=True)
+def _task_lifetime(cfg, trap, species, seed):
+    n = cfg.read("n_ions")
     omega_l = _laser_omega(trap)
-    if "intensity_w_m2" in cfg:
-        intensity = _number(cfg, "intensity_w_m2")
-    elif trap.optical.depth > 0:
+    intensity = cfg.read("intensity_w_m2")
+    if intensity is None and trap.optical.depth > 0:
         intensity = trap.optical.depth / stark_coefficient(species, omega_l)
-    else:
+    elif intensity is None:
         raise ValidationError("lifetime task needs intensity_w_m2 or a depth key")
     est = lifetime_estimate(species, omega_l, intensity, n)
 
-    gas = load_gas(_text(cfg, "gas", "H2"))
-    pressure = _number(cfg, "pressure_mbar", 1e-11) * 100.0  # mbar to Pa
-    temperature = _number(cfg, "temperature_k", 300.0)
+    gas = load_gas(cfg.read("gas"))
+    pressure = cfg.read("pressure_mbar") * 100.0  # mbar to Pa
+    temperature = cfg.read("temperature_k")
     collision = langevin_rate(
         pressure, temperature, gas.polarizability, gas.mass, species
     )
     e_rec, heat = recoil_heating(trap.optical.wavelength, species, est.gamma_off)
 
-    path = os.path.join(out, "lifetime.json")
-    _write_json(
-        path,
+    return [("lifetime.json", _json(
         dict(
             intensity_w_m2=intensity,
             gamma_off_per_s=est.gamma_off,
@@ -549,8 +532,7 @@ def _task_lifetime(cfg, trap, species, seed, out):
             gas=gas.label,
             temperature_k=temperature,
         ),
-    )
-    return [path], []
+    ))], []
 
 
 TABLE_ONE_N = (5, 10, 20, 30)
@@ -586,10 +568,8 @@ def _select_waist(eq, trap, species):
     return WAIST_RULE_GRID[-1] * eq.r_max
 
 
-def _task_table_one(cfg, trap, species, seed, out):
-    explicit = (
-        _numbers(cfg, "waists_um") if cfg.get("waists_um") is not None else None
-    )
+def _task_table_one(cfg, trap, species, seed):
+    explicit = cfg.read("waists_um")
     if explicit is not None and len(explicit) != len(TABLE_ONE_N):
         raise ValidationError("waists_um must list one waist per N in (5,10,20,30)")
     omega_l = _laser_omega(trap)
@@ -631,9 +611,8 @@ def _task_table_one(cfg, trap, species, seed, out):
         [TABLE_ONE_ROWS[r]] + [columns[n][r] for n in TABLE_ONE_N]
         for r in range(len(TABLE_ONE_ROWS))
     ]
-    path = os.path.join(out, "table1.csv")
-    _write_csv(path, ["row"] + [f"N={n}" for n in TABLE_ONE_N], rows)
-    return [path], warnings
+    header = ["row"] + [f"N={n}" for n in TABLE_ONE_N]
+    return [("table1.csv", _csv(header, rows))], warnings
 
 
 _TASK_IMPL = {
@@ -652,40 +631,50 @@ _TASK_ALIASES = {name.title().replace("-", ""): name for name in TASKS}
 
 
 def run(config_path, task=None, seed=None, threads=None, out_dir=None):
-    """Execute one task; returns a RunManifest. Raises on failure."""
+    """Execute one task; returns a RunManifest. Raises on failure.
+
+    task, seed and out_dir, when given, stand in for the config's task,
+    seed and output_dir keys. The manifest's config hash covers every
+    value the run read, defaults included, except the output directory.
+    """
     if threads is not None:  # a removed option; the slot stays for positional callers
         raise ValidationError("the threads option was removed; restarts run serially")
     start = time.monotonic()
-    cfg = load_config(config_path)
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown config keys {unknown}")
+    given = load_config(config_path)
+    if task:
+        given["task"] = task
+    if seed is not None:
+        given["seed"] = seed
+    if out_dir:
+        given["output_dir"] = out_dir
+    cfg = Config(given)
 
-    task = task or _text(cfg, "task", "")
-    if task in _TASK_ALIASES:
-        task = _TASK_ALIASES[task]
+    task = cfg.read("task")
+    task = _TASK_ALIASES.get(task, task)
     if task not in _TASK_IMPL:
         raise ValidationError(f"unknown task {task!r}; choose from {TASKS}")
-    seed = int(seed) if seed is not None else _number(cfg, "seed", 0, integer=True)
-    out = out_dir or _text(cfg, "output_dir", ".")
+    seed = cfg.read("seed")
+    out = cfg.read("output_dir")
     os.makedirs(out, exist_ok=True)
 
-    species = _build_species(cfg)
+    species = load_species(cfg.read("species_file"))
     trap = _build_trap(cfg, species)
-    outputs, warnings = _TASK_IMPL[task](cfg, trap, species, seed, out)
+    files, warnings = _TASK_IMPL[task](cfg, trap, species, seed)
+    outputs = []
+    for name, text in files:
+        outputs.append(os.path.join(out, name))
+        _atomic_write(outputs[-1], text)
 
-    effective = dict(cfg)
-    effective["task"] = task
-    effective["seed"] = seed
+    resolved = dict(cfg.used, task=task)
+    del resolved["output_dir"]
     manifest = RunManifest(
-        config_hash=config_hash(effective),
+        config_hash=config_hash(resolved),
         code_version=__version__,
         wall_time=time.monotonic() - start,
         outputs=tuple(outputs),
         warnings=tuple(warnings),
     )
-    _write_json(
-        os.path.join(out, "manifest.json"),
+    _atomic_write(os.path.join(out, "manifest.json"), _json(
         dict(
             config_hash=manifest.config_hash,
             code_version=manifest.code_version,
@@ -693,7 +682,7 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
             outputs=list(manifest.outputs),
             warnings=list(manifest.warnings),
         ),
-    )
+    ))
     return manifest
 
 

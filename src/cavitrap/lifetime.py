@@ -37,7 +37,7 @@ NON_LANGEVIN_HEATING_BOUND = 1e-4  # K/s
 
 
 def load_gas(name):
-    """Background-gas data from the shipped table or a JSON file path."""
+    """Background-gas data for a gas name listed in the shipped gases.json."""
     try:
         path = resources.files("cavitrap.data").joinpath("gases.json")
         table = json.loads(path.read_text())

@@ -51,7 +51,6 @@ class SpinDriveConfig:
 class SpinGraph:
     j: np.ndarray                  # (N, N) rad/s, symmetric, zero diagonal
     af_fraction: float             # fraction of pairs with J_ij > 0
-    beta_fit: tuple = None         # (beta, residual) once fitted
 
 
 def uniform_drive(n_ions, mu, rabi, recoil_energy):

@@ -60,39 +60,50 @@ def test_summary_ring_column_and_stability(equilibrate_run):
         float(row[2]), float(row[4]), float(row[5])
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        task="equilibrate", n_ions=6, omega_r_mhz=0.5,
-        waist_um=100.0, n_restarts=10, seed=3,
-    )
-    outs = []
+SMALL_CONFIGS = {
+    "equilibrate": dict(n_ions=6, n_restarts=10),
+    "modes": dict(n_ions=4, omega_z_mhz=2.0, n_restarts=4),
+    "transition-scan": dict(n_ions_list=[5, 6, 7], n_restarts=3),
+    "waist-scan": dict(n_ions=5, w0_values_um=[15.0, 30.0], n_restarts=3),
+    "barrier": dict(n_ions=5, n_restarts=8, n_paths=2, n_samples=200),
+    "spin": dict(n_ions=6, omega_z_mhz=2.0, mu_over_max_list=[1.01, 1.1],
+                 n_restarts=4),
+    "lifetime": dict(n_ions=10, intensity_w_m2=1.16e12),
+    "table-one": dict(waists_um=[14.4, 21.0, 27.3, 26.8], n_restarts=4),
+}
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_rerun_is_byte_identical(tmp_path, task):
+    cfg = write_config(tmp_path / "cfg.json", seed=3, **SMALL_CONFIGS[task])
+    manifests = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert cli.main(["equilibrate", "--config", cfg, "--out", str(out)]) == 0
-        outs.append(out)
-    for fname in ("equilibria_summary.csv", "equilibrium_00.csv", "equilibria.json"):
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    names = [[Path(p).name for p in m["outputs"]] for m in manifests]
+    assert names[0] == names[1] and names[0]
+    for fname in names[0]:
+        a, b = (tmp_path / name / fname for name in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
 
 
-def test_manifest_hash_covers_task_and_seed(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg = dict(task="equilibrate", n_ions=4, omega_r_mhz=0.5,
-               waist_um=100.0, n_restarts=6)
-    write_config(cfg_path, **cfg)
-    hashes = []
-    for seed in (0, 5):
-        out = tmp_path / f"s{seed}"
-        code = cli.main([
-            "equilibrate", "--config", str(cfg_path),
-            "--seed", str(seed), "--out", str(out),
-        ])
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        effective = dict(cfg, task="equilibrate", seed=seed)
-        assert manifest["config_hash"] == cli.config_hash(effective)
-        hashes.append(manifest["config_hash"])
-    assert hashes[0] != hashes[1]
+def test_manifest_hash_covers_task_and_seed(tmp_path, monkeypatch):
+    """The hash covers the resolved config: task, seed and every default read."""
+    def manifest_hash(name, task="equilibrate", seed=0, **extra):
+        cfg = write_config(tmp_path / f"{name}.json", n_ions=4, omega_r_mhz=0.5,
+                           waist_um=100.0, **extra)
+        out = tmp_path / name
+        argv = [task, "--config", cfg, "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == 0
+        return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    default = manifest_hash("default")
+    assert manifest_hash("explicit", n_restarts=50) == default
+    assert manifest_hash("seed", seed=5) != default
+    assert manifest_hash("task", task="modes") != default
+    monkeypatch.setitem(cli.CONFIG_TABLE, "n_restarts", ("integer", 6))
+    assert manifest_hash("changed") != default
 
 
 def test_exit_2_on_unparseable_config(tmp_path, capsys):
@@ -127,6 +138,7 @@ def test_exit_3_on_missing_required_key(tmp_path, capsys):
     ("n_ions", 5.5),
     ("n_restarts", 2.5),
     pytest.param("n_ions", 10**400, id="n_ions-too-large-for-a-float"),
+    ("seed", -1),
 ])
 def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
     cfg = dict(n_ions=4, omega_r_mhz=0.5, n_restarts=4)
@@ -170,6 +182,15 @@ def test_exit_3_on_wrongly_typed_text(tmp_path, capsys, task, extra, key):
     diagnostic = json.loads(capsys.readouterr().err.strip())
     assert diagnostic["error"] == "ValidationError"
     assert key in diagnostic["message"]
+
+
+def test_exit_3_on_negative_command_line_seed(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", n_ions=4, n_restarts=4)
+    argv = ["equilibrate", "--config", path, "--seed", "-3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert "seed" in diagnostic["message"]
 
 
 def test_config_task_of_wrong_type_rejected(tmp_path):
@@ -238,8 +259,8 @@ def test_integral_float_count_runs_as_int(tmp_path):
 
 def test_valid_lists_pass_unconverted():
     values = [5, 10.0, 2.5e-3]
-    assert cli._numbers({"k": values}, "k") is values
-    ints = cli._numbers({"k": [5, 10.0]}, "k", integer=True)
+    assert cli.Config({"w0_values_um": values}).read("w0_values_um") is values
+    ints = cli.Config({"n_ions_list": [5, 10.0]}).read("n_ions_list")
     assert ints == [5, 10] and all(type(v) is int for v in ints)
 
 
@@ -362,3 +383,8 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0
     assert "equilibria_summary.csv" in proc.stdout
     assert (out / "manifest.json").exists()
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [key for key in cli.CONFIG_TABLE if f"`{key}`" not in readme] == []
