@@ -21,6 +21,11 @@ sum_k E[y_k^2] = R^2, which maximises the acceptance (12-25 % at every
 step of the N = 6 and 9 walks, 7-16 % at N = 30). Each step scores exactly
 n_samples points, or raises SamplingError saying how many it reached.
 
+optimize_path walks toward the target it is given. barrier_pair first
+matches the other minimum onto the start, once, over the trap's symmetries
+(rotations and reflections in an isotropic trap, the four axis sign flips
+otherwise), so the walk ends at the same minimum in the start's frame.
+
 barrier_pair walks its paths concurrently, one thread per CPU the process
 may use. Path k draws only from its own SeedSequence(seed, spawn_key=(k,))
 stream and shares nothing writable with the other paths, so the paths and
@@ -35,16 +40,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment
+from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .core import CONST
-from .equilibrium import (
-    EquilibriumResult,
-    _square_distance,
-    _xy,
-    align_configurations,
-)
+from .equilibrium import EquilibriumResult, _best_assignment, _xy, align_configurations
 from .errors import DomainError, SamplingError
 from .potential import planar_energy, planar_energy_batch
 
@@ -56,7 +56,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class BarrierWalkParams:
-    """Walk defaults; d and epsilon of None resolve from the endpoint distance."""
+    """Walk defaults; d and epsilon of None resolve from the endpoint distance.
+
+    A given d or epsilon must be positive, and epsilon > d if both are.
+    """
 
     d: float = None               # m, target step scale, default |x0 - xf| / 20
     epsilon: float = None         # m, cube side, default 2.5 d
@@ -64,15 +67,14 @@ class BarrierWalkParams:
     t_p: float = 1e-3             # K, selection temperature
     n_paths: int = 10
     seed: int = 0
-    align: bool = True            # gauge-fix xf onto x0 before walking
 
     def __post_init__(self):
         if self.n_samples < 1 or self.n_paths < 1 or self.t_p <= 0:
             raise DomainError("need n_samples >= 1, n_paths >= 1, t_p > 0")
-        if self.d is not None and self.epsilon is not None and not (
-            self.epsilon > self.d > 0
-        ):
-            raise DomainError("need epsilon > d > 0")
+        if any(v is not None and not v > 0 for v in (self.d, self.epsilon)):
+            raise DomainError("need d > 0 and epsilon > 0 when given")
+        if self.d is not None and self.epsilon is not None and self.epsilon <= self.d:
+            raise DomainError("need epsilon > d")
 
 
 @dataclass(frozen=True)
@@ -95,43 +97,21 @@ class BarrierPath:
 _AXIS_FLIPS = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
 
 
-def _align_axis_flips(reference, other):
-    """`other` matched onto `reference` over the four axis sign flips.
+def _aligned_target(x0, xf, trap):
+    """xf matched onto x0 over the trap's symmetries (module docstring), flat.
 
-    Each flip gets its optimal relabeling; the first flip of smallest rms
-    wins. Both are (N, 2) arrays; returns the aligned points.
+    Of the four axis sign flips, the first of smallest rms wins.
     """
-    rx, ry = reference[:, 0, None], reference[:, 1, None]
-    best_ms, best = math.inf, None
-    for flip in _AXIS_FLIPS:
-        cand = other * flip
-        cost = _square_distance(rx, ry, cand[:, 0], cand[:, 1])
-        rows, cols = linear_sum_assignment(cost)
-        ms = cost[rows, cols].mean()
-        if ms < best_ms:
-            best_ms, best = ms, cand[cols]
-    return best
-
-
-def _endpoints(x0, xf, align, trap):
-    """Flat start and target points; the target is aligned onto the start if align.
-
-    The alignment runs over the trap's symmetries only: every rotation and
-    reflection in an isotropic trap, the four axis sign flips otherwise, so
-    the aligned target is the same minimum as xf.
-    """
-    start = _xy(x0).ravel().copy()
-    target = _xy(xf).ravel().copy()
-    if start.shape != target.shape:
+    ref, other = _xy(x0), _xy(xf)
+    if ref.shape != other.shape:
         raise DomainError("endpoint configurations differ in size")
-    if align:
-        ref, other = start.reshape(-1, 2), target.reshape(-1, 2)
-        if trap.omega_x_dc == trap.omega_y_dc:
-            aligned, _, _ = align_configurations(ref, other)
-        else:
-            aligned = _align_axis_flips(ref, other)
-        target = aligned.ravel()
-    return start, target
+    if trap.omega_x_dc == trap.omega_y_dc:
+        aligned, _, _ = align_configurations(ref, other)
+    else:
+        flipped = other * _AXIS_FLIPS[:, None]
+        k, cols, _ = _best_assignment(ref, flipped)
+        aligned = flipped[k][cols]
+    return aligned.ravel()
 
 
 def _lower_masses(alpha, beta):
@@ -252,15 +232,17 @@ def propose_step(x_i, x_f, params, rng, trap, species):
 
 
 def optimize_path(x0, xf, params, trap, species, path_index=0):
-    """One biased walk from x0 toward xf; returns the visited BarrierPath."""
-    start, target = _endpoints(x0, xf, params.align, trap)
+    """One biased walk from x0 toward xf, unaligned; returns the visited BarrierPath."""
+    start, target = _xy(x0).ravel(), _xy(xf).ravel()
+    if start.shape != target.shape:
+        raise DomainError("endpoint configurations differ in size")
     dist = np.linalg.norm(start - target)
     if dist == 0.0:
         raise DomainError("endpoints are the same configuration")
     d = params.d if params.d is not None else dist / 20.0
     eps = params.epsilon if params.epsilon is not None else 2.5 * d
     max_iter = 10 * math.ceil(dist / d)
-    resolved = replace(params, d=d, epsilon=eps, align=False)
+    resolved = replace(params, d=d, epsilon=eps)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(path_index,))
     )
@@ -314,9 +296,9 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     The minimum peak along any connecting path bounds the barrier as seen
     from either end, so one peak yields barrier_from_start (peak minus the
     start energy) and barrier_from_other (the same peak minus the other
-    configuration's energy), both in K. With params.align the target is
-    aligned onto the start once, over the trap's symmetries, and every path
-    walks toward that target.
+    configuration's energy), both in K. The target is aligned onto the
+    start once, over the trap's symmetries, and every path walks toward
+    that aligned target.
 
     The paths run in min(n_paths, CPUs) threads. Each draws from its own
     seeded stream and reads only the shared endpoints, trap and species,
@@ -324,12 +306,11 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     If paths raise, the error of the lowest failing index is raised once
     every path has ended, as a serial loop over the indices would raise.
     """
-    _, target = _endpoints(eq_start, eq_other, params.align, trap)
-    walk = replace(params, align=False)
+    target = _aligned_target(eq_start, eq_other, trap)
     with ThreadPoolExecutor(max_workers=min(params.n_paths, _cpu_count())) as pool:
         futures = [
             pool.submit(
-                optimize_path, eq_start, target, walk, trap, species, path_index=k
+                optimize_path, eq_start, target, params, trap, species, path_index=k
             )
             for k in range(params.n_paths)
         ]

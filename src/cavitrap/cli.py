@@ -36,7 +36,7 @@ from .core import (
 )
 from .barrier import BarrierWalkParams, barrier_pair
 from .equilibrium import find_equilibria
-from .errors import CavitrapError, DomainError, ValidationError
+from .errors import CavitrapError, DomainError, FitError, ValidationError
 from .lifetime import (
     NON_LANGEVIN_HEATING_BOUND,
     langevin_rate,
@@ -456,7 +456,12 @@ def _task_spin(cfg, trap, species, seed):
         mu = cfg.read("mu_over_max") * z_max
     drive = uniform_drive(n, mu, rabi, recoil)
     graph = compute_jij(spectrum, eq, drive)
-    beta, resid = fit_beta(graph, eq)
+    warnings = []
+    try:
+        beta, resid = fit_beta(graph, eq)
+    except FitError as exc:  # the J_ij graph stands; beta and residual are null
+        beta = resid = None
+        warnings.append(f"beta fit skipped: {exc}")
 
     header = ["ion"] + [str(i) for i in range(n)]
     rows = [[i] + [_fmt(v) for v in graph.j[i]] for i in range(n)]
@@ -476,7 +481,6 @@ def _task_spin(cfg, trap, species, seed):
     )
 
     sweep_rows = []
-    warnings = []
     if cfg.read("mu_over_max_list") is not None:
         mu_values = [f * z_max for f in cfg.read("mu_over_max_list")]
         for rec in beta_sweep(spectrum, eq, mu_values, drive):

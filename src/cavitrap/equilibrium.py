@@ -86,36 +86,42 @@ def _square_distance(ax, ay, bx, by):
     return dx
 
 
+def _best_assignment(reference, candidates):
+    """The first candidate nearest `reference` under its optimal relabeling.
+
+    reference is (N, 2); candidates is a sequence of (N, 2) arrays. Each
+    candidate is relabeled by optimal assignment on the squared distances,
+    and the first one of smallest rms distance wins. Returns (its index,
+    the relabeling, the rms); candidate[relabeling] is the matched copy.
+    """
+    rx, ry = reference[:, 0, None], reference[:, 1, None]
+    best_rms, best_k, best_cols = math.inf, None, None
+    for k, cand in enumerate(candidates):
+        cost = _square_distance(rx, ry, cand[:, 0], cand[:, 1])
+        rows, cols = linear_sum_assignment(cost)
+        rms = math.sqrt(cost[rows, cols].mean())
+        if rms < best_rms:
+            best_rms, best_k, best_cols = rms, k, cols
+    return best_k, best_cols, best_rms
+
+
 def align_configurations(reference, other):
     """Match `other` onto `reference` over rotations, reflections, relabelings.
 
     Gauge-fixes a barrier walk's target onto its start in an isotropic trap.
 
-    Coarse scan over ALIGN_ANGLES rotation angles times the two parities with
-    optimal assignment at each, keeping the first orientation (reflection
-    off before on, then increasing angle) of smallest rms; then iterated
+    Coarse scan, in order, over the two parities (reflection off, then on)
+    times ALIGN_ANGLES rotation angles, with optimal assignment at each,
+    keeping the first orientation of smallest rms; then iterated
     orthogonal-Procrustes polish against the best assignment. Returns
     (aligned points, permutation, rms distance); reference and other are
     (N, 2) arrays.
-
-    Only assignments that can win are run. Any assignment's mean squared
-    distance is at least lb, the mean over reference points of the squared
-    distance to the nearest candidate point. Orientations are assigned in
-    increasing lb order, and the scan stops at the first lb above
-    best_rms**2 * (1 + 1e-9); the slack covers rounding in the two means,
-    so every orientation skipped has a larger rms. An rms tie goes to the
-    smaller orientation index, as in a one-by-one scan that keeps the first
-    strictly smaller rms. Each cost matrix, and so each assignment and rms,
-    is bitwise that of the one-by-one scan, so the result is too. The
-    bounds come from one vectorized pass over all orientations, in blocks
-    of reference points that keep temporaries near 2**15 entries.
     """
     ref = np.asarray(reference, dtype=float)
     oth = np.asarray(other, dtype=float)
     if ref.shape != oth.shape:
         raise DomainError("configurations must have the same shape to align")
 
-    n = len(ref)
     flip = np.array([[1.0, 0.0], [0.0, -1.0]])
     angles = np.linspace(0.0, 2.0 * math.pi, ALIGN_ANGLES, endpoint=False).tolist()
     c = np.array([math.cos(a) for a in angles])
@@ -123,28 +129,11 @@ def align_configurations(reference, other):
     # the transposed view hands BLAS the strides of a single `points @ rot.T`,
     # which keeps the rotated points bitwise equal to it (at N = 1 too)
     rot_t = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2).transpose(0, 2, 1)
-    cands = (np.stack([oth, oth @ flip])[:, None] @ rot_t).reshape(-1, n, 2)
-    # cx[j, k]: x of point j in orientation k; orientations run fastest
-    cx, cy = np.ascontiguousarray(cands.T)
+    cands = (np.stack([oth, oth @ flip])[:, None] @ rot_t).reshape(-1, len(ref), 2)
+    k, perm, rms = _best_assignment(ref, cands)
+
     rx, ry = ref[:, 0, None], ref[:, 1, None]
-
-    step = max(1, 2**15 // cx.size)
-    blocks = (slice(i, i + step) for i in range(0, n, step))
-    lower = np.concatenate([
-        _square_distance(rx[b, None], ry[b, None], cx, cy).min(axis=1) for b in blocks
-    ]).mean(axis=0)
-
-    best_rms, best_k, best_cols = math.inf, None, None
-    for k in np.argsort(lower):
-        if lower[k] > best_rms**2 * (1.0 + 1e-9):
-            break
-        cost = _square_distance(rx, ry, cx[:, k], cy[:, k])
-        rows, cols = linear_sum_assignment(cost)
-        rms = math.sqrt(cost[rows, cols].mean())
-        if rms < best_rms or (rms == best_rms and k < best_k):
-            best_rms, best_k, best_cols = rms, k, cols
-
-    rms, aligned, perm = best_rms, cands[best_k][best_cols], best_cols
+    aligned = cands[k][perm]
     for _ in range(10):
         # orthogonal Procrustes (reflections allowed, the trap has O(2) symmetry)
         u, _, vt = np.linalg.svd(aligned.T @ ref)

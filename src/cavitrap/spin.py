@@ -24,6 +24,10 @@ from .equilibrium import _xy
 
 RESONANCE_TOL_FACTOR = 1e-3
 
+# relative gap above which two pair distances count as distinct in fit_beta;
+# equal sides of a converged equilibrium agree to a few 1e-9
+DISTANCE_MATCH_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SpinDriveConfig:
@@ -63,7 +67,14 @@ def uniform_drive(n_ions, mu, rabi, recoil_energy):
 
 
 def compute_jij(spectrum, eq, drive):
-    """SpinGraph for the given drive over the out-of-plane modes."""
+    """SpinGraph for the given drive over the out-of-plane modes.
+
+    Raises DomainError for fewer than two ions: there is no pair to couple.
+    """
+    rabi = np.atleast_2d(np.asarray(drive.rabi, dtype=float))
+    n_ions = rabi.shape[0]
+    if n_ions < 2:
+        raise DomainError("J_ij needs at least two ions")
     idx = spectrum.select(OUT_OF_PLANE)
     if np.any(spectrum.imaginary[idx]):
         raise DomainError("out-of-plane modes include imaginary modes")
@@ -72,8 +83,6 @@ def compute_jij(spectrum, eq, drive):
     tol = drive.resonance_tolerance
     if tol is None:
         tol = RESONANCE_TOL_FACTOR * omega.max()
-    rabi = np.atleast_2d(np.asarray(drive.rabi, dtype=float))
-    n_ions = rabi.shape[0]
 
     j = np.zeros((n_ions, n_ions))
     for n, mu in enumerate(drive.mu):
@@ -94,7 +103,12 @@ def compute_jij(spectrum, eq, drive):
 
 
 def fit_beta(graph, eq):
-    """Power-law exponent of |J| versus pair distance, (beta, residual RMS)."""
+    """Power-law exponent of |J| versus pair distance, (beta, residual RMS).
+
+    Raises FitError for a zero coupling, or for fewer than three distinct
+    pair distances: neighbours in sorted order are distinct when more than
+    DISTANCE_MATCH_RTOL apart, relative to the larger.
+    """
     xy = _xy(eq)
     n = len(xy)
     iu = np.triu_indices(n, 1)
@@ -102,7 +116,10 @@ def fit_beta(graph, eq):
     j_abs = np.abs(graph.j[iu])
     if np.any(j_abs == 0.0):
         raise FitError("zero couplings, power-law fit undefined")
-    if len(np.unique(np.round(np.log(r), 12))) < 3:
+    r_sorted = np.sort(r)
+    gaps = np.diff(r_sorted) > DISTANCE_MATCH_RTOL * r_sorted[1:]
+    n_distinct = 1 + np.count_nonzero(gaps)
+    if n_distinct < 3:
         raise FitError("need at least 3 distinct pair distances")
     design = np.column_stack([np.log(r), np.ones(len(r))])
     coef, *_ = np.linalg.lstsq(design, np.log(j_abs), rcond=None)

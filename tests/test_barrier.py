@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -5,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import chisquare, ks_2samp, kstest
 
 import cavitrap as cv
@@ -29,6 +31,16 @@ def test_params_validation():
         cv.BarrierWalkParams(t_p=0.0)
     with pytest.raises(cv.DomainError):
         cv.BarrierWalkParams(d=1e-6, epsilon=1e-6)  # needs epsilon > d
+
+
+@pytest.mark.parametrize("step", [
+    dict(d=0.0), dict(d=-1e-7), dict(d=math.nan), dict(epsilon=0.0),
+    dict(epsilon=-1e-7), dict(d=0.0, epsilon=1e-6),
+])
+def test_params_reject_nonpositive_step(step):
+    """d = 0 once reached ceil(dist / 0) in the walk and overflowed."""
+    with pytest.raises(cv.DomainError, match="d > 0 and epsilon > 0"):
+        cv.BarrierWalkParams(**step)
 
 
 def test_grey_region_membership(five_ion_pair):
@@ -183,7 +195,6 @@ def test_optimize_path_contract(five_ion_pair, bare_trap_21, species):
         params, bare_trap_21, species, path_index=0,
     )
     assert path.converged
-    # start energy is gauge invariant even though the endpoint frame rotates
     assert path.energies[0] == pytest.approx(five_ion_pair[0].energy, rel=1e-9)
     assert path.peak_energy == max(path.energies)
     assert path.barrier_from_start == pytest.approx(
@@ -245,11 +256,12 @@ def test_barrier_pair_consistency(five_ion_pair, bare_trap_21, species):
 
 def test_barrier_pair_aligns_once(five_ion_pair, bare_trap_21, species,
                                   monkeypatch):
-    """One alignment per pair; the walks match per-path alignment exactly."""
+    """One alignment per pair; every path walks toward the aligned target."""
     params = cv.BarrierWalkParams(seed=1, n_paths=3, n_samples=200)
     start, other = five_ion_pair[0], five_ion_pair[1]
+    target = cv.align_configurations(start.xy, other.xy)[0]
     per_path = [
-        cv.optimize_path(start, other, params, bare_trap_21, species,
+        cv.optimize_path(start, target, params, bare_trap_21, species,
                          path_index=k).peak_energy
         for k in range(params.n_paths)
     ]
@@ -294,13 +306,72 @@ def test_aligned_target_is_the_other_minimum(n, anisotropy, bare_trap_21, specie
     assert energy == pytest.approx(eqs[1].energy, rel=1e-12, abs=0.0)
 
 
+def test_optimize_path_walks_to_the_target_as_given(five_ion_pair, bare_trap_21,
+                                                     species):
+    """A turned, relabelled copy of the other minimum is walked to, not aligned."""
+    start, other = five_ion_pair[0], five_ion_pair[1]
+    c, s = math.cos(1.0), math.sin(1.0)
+    turned = (other.xy @ np.array([[c, -s], [s, c]]).T)[[3, 0, 4, 1, 2]].ravel()
+    path = cv.optimize_path(start, turned, cv.BarrierWalkParams(n_samples=200),
+                            bare_trap_21, species)
+    d = np.linalg.norm(start.xy_flat - turned) / 20.0
+    assert path.converged
+    assert np.linalg.norm(path.points[-1] - turned) < d
+
+
+_FLIPS = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
+
+
+def _reference_flip_align(reference, other):
+    """Oracle: one flip at a time, the first of smallest rms wins; (rms, points)."""
+    scan = []
+    for flip in _FLIPS:
+        cand = other * flip
+        cost = np.sum((reference[:, None, :] - cand[None, :, :]) ** 2, axis=-1)
+        rows, cols = linear_sum_assignment(cost)
+        scan.append((math.sqrt(cost[rows, cols].mean()), cand[cols]))
+    return scan, min(scan, key=lambda item: item[0])[1]
+
+
+@pytest.fixture(scope="module")
+def anisotropic_trap(bare_trap_21):
+    return cv.make_trap(bare_trap_21.omega_x_dc, bare_trap_21.optical, anisotropy=0.07)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 30])
+def test_axis_flip_alignment_matches_one_by_one_scan(n, anisotropic_trap):
+    """Flipped, relabelled and noisy copies, unit spacing times scale."""
+    rng = np.random.default_rng(n)
+    for k in range(12):
+        scale = 10.0 ** rng.uniform(-7.0, 0.0)
+        ref = rng.normal(size=(n, 2)) * math.sqrt(n) * scale
+        other = (ref * _FLIPS[rng.integers(4)])[rng.permutation(n)]
+        other += (0.0 if k % 4 == 0 else rng.uniform(0.0, 3.0)) * scale * rng.normal(
+            size=(n, 2))
+        got = barrier._aligned_target(ref, other, anisotropic_trap)
+        assert np.array_equal(got, _reference_flip_align(ref, other)[1].ravel())
+
+
+def test_axis_flip_tie_goes_to_first_flip(anisotropic_trap):
+    """A reference symmetric under both flips ties all four: integer squares sum exactly."""
+    ref = np.array([[3.0, 1.0], [-3.0, 1.0], [3.0, -1.0], [-3.0, -1.0], [0.0, 0.0]])
+    other = ref + np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    ref, other = ref * 2.0**-20, other[[2, 4, 0, 3, 1]] * 2.0**-20
+    scan, want = _reference_flip_align(ref, other)
+    assert len({rms for rms, _ in scan}) == 1
+    assert not np.array_equal(scan[0][1], scan[3][1])
+    got = barrier._aligned_target(ref, other, anisotropic_trap)
+    assert np.array_equal(got, want.ravel())
+
+
 def test_barrier_pair_threads_match_serial_walks(five_ion_pair, bare_trap_21,
                                                 species, monkeypatch):
     """More threads than cores and a switch every microsecond change no bit."""
     params = cv.BarrierWalkParams(seed=2, n_paths=6, n_samples=200)
     start, other = five_ion_pair[0], five_ion_pair[1]
+    target = cv.align_configurations(start.xy, other.xy)[0]
     serial = [
-        cv.optimize_path(start, other, params, bare_trap_21, species, path_index=k)
+        cv.optimize_path(start, target, params, bare_trap_21, species, path_index=k)
         for k in range(params.n_paths)
     ]
     walkers = set()
@@ -439,7 +510,7 @@ def test_two_ion_anisotropic_barrier_matches_grid_saddle(bare_trap_21, species):
     x0 = np.array([dx / 2, 0.0, -dx / 2, 0.0])
     xf = np.array([0.0, dy / 2, 0.0, -dy / 2])
 
-    params = cv.BarrierWalkParams(align=False, seed=2)
+    params = cv.BarrierWalkParams(seed=2)
     result = cv.barrier_pair(x0, xf, params, trap, species)
     walk = result["barrier_from_start"]
 

@@ -218,6 +218,26 @@ def test_barrier_n20_walks_between_distinct_crystals(tmp_path):
     assert payload["barrier_stable_mk"] - payload["barrier_metastable_mk"] > 100.0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_without_beta_fit_writes_graph(tmp_path, n):
+    """A triangle or a square has fewer than 3 distinct pair distances."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=n, omega_z_mhz=2.0, n_restarts=8)
+    out = tmp_path / "out"
+    assert cli.main(["spin", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [Path(p).name for p in manifest["outputs"]] == [
+        "jij.csv", "edges.csv", "spin_summary.json",
+    ]
+    assert manifest["warnings"] == [
+        "beta fit skipped: need at least 3 distinct pair distances"
+    ]
+    summary = json.loads((out / "spin_summary.json").read_text())
+    assert summary["beta"] is None and summary["residual"] is None
+    assert summary["af_fraction"] == 1.0
+    assert len(read_csv(out / "jij.csv")) == n + 1
+    assert len(read_csv(out / "edges.csv")) == n * (n - 1) // 2 + 1
+
+
 @pytest.mark.parametrize("task, extra, key", [
     pytest.param("transition-scan", dict(n_ions_list=[5, "ten"]), "n_ions_list",
                  id="n_ions_list-entry"),

@@ -173,6 +173,28 @@ def test_fit_beta_errors(spin_setup):
         cv.fit_beta(cv.SpinGraph(j=j, af_fraction=1.0), tri * 1e-6)
 
 
+def test_fit_beta_counts_distances_beyond_rounding():
+    """Sides equal but for equilibrium rounding (3e-9) are one distance."""
+    j = np.ones((3, 3)) - np.eye(3)
+    graph = cv.SpinGraph(j=j, af_fraction=1.0)
+    rounded = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2 * (1 + 3e-9)]])
+    with pytest.raises(cv.FitError, match="3 distinct"):
+        cv.fit_beta(graph, rounded * 1e-6)
+    scalene = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    beta, resid = cv.fit_beta(graph, scalene * 1e-6)
+    assert beta == pytest.approx(0.0, abs=1e-12) and resid < 1e-12
+
+
+def test_single_ion_has_no_couplings(bare_trap_100, species):
+    eq = cv.find_equilibria(1, bare_trap_100, species, n_restarts=1, seed=0)[0]
+    trap = bare_trap_100.with_depth(cv.depth_for_aspect(bare_trap_100, species, 4.0))
+    spectrum = cv.normal_modes(eq, trap, species)
+    drive = cv.uniform_drive(1, 1.5 * spectrum.omega.max(), 1e5,
+                             cv.photon_recoil(355e-9, species))
+    with pytest.raises(cv.DomainError, match="two ions"):
+        cv.compute_jij(spectrum, eq, drive)
+
+
 def test_beta_sweep_records_errors_and_continues(bare_trap_100, species, eq10_100):
     # the 4-ion square has too few distinct distances for the fit, so
     # sweep on the 10-ion crystal instead
