@@ -19,6 +19,7 @@ genuinely negative curvature is rejected.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
@@ -26,7 +27,12 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .core import CONST, characteristic_length
 from .errors import ConvergenceError, DomainError
-from .potential import _pair_distances, planar_energy_gradient, planar_hessian
+from .potential import (
+    _pair_distances,
+    coulomb_z_block,
+    planar_energy_gradient,
+    planar_hessian,
+)
 
 STABLE = "stable"
 METASTABLE = "metastable"
@@ -37,10 +43,27 @@ ENERGY_MATCH_RTOL = 1e-12
 # rotation angles of the coarse alignment scan, per parity
 ALIGN_ANGLES = 96
 
+# Newton polish: Hessian eigenvalues at or below this fraction of the largest
+# are dropped from the pseudo-inverse (the noisy global-rotation mode)
+POLISH_EIG_RTOL = 1e-8
+
+# a polished restart is a saddle if its lowest curvature is below minus this
+# many m omega_r^2; the global-rotation mode's near-zero value must pass
+SADDLE_CURVATURE_TOL = 1e-6
+
+# a restart converges when its gradient norm is below this many kq / ell^2
+GRAD_TOL_REL = 1e-8
+
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """One distinct planar equilibrium: positions (flat 3N, z = 0) and metrics."""
+    """One distinct planar equilibrium: positions (flat 3N, z = 0) and metrics.
+
+    positions is kept as a read-only float copy. The crystal's Coulomb z
+    block and its upper-triangle pair distances are computed on first use
+    and kept, read-only, so the transition, mode and spin layers share one
+    pair pass per crystal (about 1.1 MB at N = 300).
+    """
 
     positions: np.ndarray
     energy: float
@@ -51,6 +74,17 @@ class EquilibriumResult:
     d_min: float
     n_found_duplicates: int
     grad_norm: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", _read_only(self.positions))
+
+    @cached_property
+    def _z_block(self):
+        return _read_only(coulomb_z_block(self.xy))
+
+    @cached_property
+    def _upper_r(self):
+        return _read_only(_pair_r(self.xy))
 
     @property
     def n_ions(self):
@@ -65,11 +99,34 @@ class EquilibriumResult:
         return self.xy.ravel().copy()
 
 
+def _read_only(values):
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _xy(config):
     """(N, 2) in-plane positions of an EquilibriumResult or of coordinates."""
     if isinstance(config, EquilibriumResult):
         return config.xy
     return np.asarray(config, dtype=float).reshape(-1, 2)
+
+
+def _coulomb_z(config):
+    """coulomb_z_block of an EquilibriumResult (kept) or of coordinates."""
+    if isinstance(config, EquilibriumResult):
+        return config._z_block
+    return coulomb_z_block(_xy(config))
+
+
+def _pair_r(config):
+    """Pair distances |p_j - p_i| over i < j, in np.triu_indices order, of an
+    EquilibriumResult (kept) or of coordinates."""
+    if isinstance(config, EquilibriumResult):
+        return config._upper_r
+    xy = _xy(config)
+    _, r = _pair_distances(xy)
+    return r[np.triu_indices(len(xy), 1)]
 
 
 def _square_distance(ax, ay, bx, by):
@@ -207,7 +264,7 @@ def _polish_newton(x, trap, species, ell, grad_tol, max_iter=60):
         # rotation direction has a noisy near-zero eigenvalue and a raw
         # solve would step wildly along it
         w, v = np.linalg.eigh(h)
-        keep = w > 1e-8 * w[-1]
+        keep = w > POLISH_EIG_RTOL * w[-1]
         step = -(v[:, keep] @ ((v[:, keep].T @ g) / w[keep]))
         norm = np.linalg.norm(step)
         if norm > step_cap:
@@ -248,7 +305,7 @@ def _one_restart(n_ions, trap, species, seed, index, ell, echar, fchar, grad_tol
         return None
     # reject saddles; one near-zero eigenvalue (global rotation) is expected
     eigs = np.linalg.eigvalsh(planar_hessian(x, trap, species))
-    if eigs.min() < -1e-6 * species.mass * trap.omega_r**2:
+    if eigs.min() < -SADDLE_CURVATURE_TOL * species.mass * trap.omega_r**2:
         return None
     return x, e, gnorm
 
@@ -265,7 +322,7 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0):
     ell = characteristic_length(species, trap.omega_r)
     echar = CONST.coulomb_coefficient / ell
     fchar = CONST.coulomb_coefficient / ell**2
-    grad_tol = 1e-8 * fchar
+    grad_tol = GRAD_TOL_REL * fchar
 
     found = []  # list of [x, energy, gradient norm, count]
     for k in range(n_restarts):

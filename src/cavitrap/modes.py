@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import _xy
-from .potential import coulomb_z_block, optical_z_curvature, planar_hessian
+from .equilibrium import _coulomb_z, _xy
+from .potential import optical_z_curvature, planar_hessian
 
 OUT_OF_PLANE = "out_of_plane"
 IN_PLANE = "in_plane"
@@ -67,7 +67,7 @@ def normal_modes(eq, trap, species):
     n = len(xy)
     m = species.mass
 
-    z_block = coulomb_z_block(xy) / m
+    z_block = _coulomb_z(eq) / m
     z_block += np.diag(
         trap.optical.depth * optical_z_curvature(xy, trap.optical) / m
         - trap.omega_z_dc**2

@@ -20,7 +20,7 @@ import numpy as np
 from .core import CONST
 from .errors import DomainError, FitError, ResonanceError
 from .modes import OUT_OF_PLANE
-from .equilibrium import _xy
+from .equilibrium import _pair_r
 
 RESONANCE_TOL_FACTOR = 1e-3
 
@@ -69,12 +69,16 @@ def uniform_drive(n_ions, mu, rabi, recoil_energy):
 def compute_jij(spectrum, eq, drive):
     """SpinGraph for the given drive over the out-of-plane modes.
 
-    Raises DomainError for fewer than two ions: there is no pair to couple.
+    Raises DomainError for fewer than two ions, since there is no pair to
+    couple, and for a Rabi matrix that is not (ions, drives).
     """
-    rabi = np.atleast_2d(np.asarray(drive.rabi, dtype=float))
-    n_ions = rabi.shape[0]
+    n_ions = spectrum.n_modes // 3
     if n_ions < 2:
         raise DomainError("J_ij needs at least two ions")
+    rabi = np.asarray(drive.rabi, dtype=float)
+    want = (n_ions, len(drive.mu))
+    if rabi.shape != want:
+        raise DomainError(f"Rabi matrix has shape {rabi.shape}, want {want} (ions, drives)")
     idx = spectrum.select(OUT_OF_PLANE)
     if np.any(spectrum.imaginary[idx]):
         raise DomainError("out-of-plane modes include imaginary modes")
@@ -109,11 +113,8 @@ def fit_beta(graph, eq):
     pair distances: neighbours in sorted order are distinct when more than
     DISTANCE_MATCH_RTOL apart, relative to the larger.
     """
-    xy = _xy(eq)
-    n = len(xy)
-    iu = np.triu_indices(n, 1)
-    r = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)[iu]
-    j_abs = np.abs(graph.j[iu])
+    r = _pair_r(eq)
+    j_abs = np.abs(graph.j[np.triu_indices(len(graph.j), 1)])
     if np.any(j_abs == 0.0):
         raise FitError("zero couplings, power-law fit undefined")
     r_sorted = np.sort(r)

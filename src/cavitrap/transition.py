@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ANTINODE_COS2, depth_for_aspect
-from .equilibrium import _xy, find_equilibria
+from .equilibrium import _coulomb_z, _xy, find_equilibria
 from .errors import BracketError, CavitrapError, FitError
-from .potential import coulomb_z_block, optical_z_curvature
+from .potential import optical_z_curvature
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def find_alpha_tr(eq, trap, species):
         )
     u0 = depth_for_aspect(trap, species, 0.0)
     u1 = depth_for_aspect(trap, species, 1.0) - u0
-    lhs = -coulomb_z_block(xy)
+    lhs = -_coulomb_z(eq)
     lhs[np.diag_indices(len(xy))] += species.mass * trap.omega_z_dc**2 - u0 * curv
     scale = 1.0 / np.sqrt(u1 * curv)
     alpha_sq = np.linalg.eigvalsh(scale[:, None] * lhs * scale[None, :])[-1]
@@ -77,7 +77,7 @@ def alpha_tr_uniform(eq, trap, species):
     xy = _xy(eq)
     if len(xy) == 1:
         return 0.0
-    a_over_m = coulomb_z_block(xy) / species.mass
+    a_over_m = _coulomb_z(eq) / species.mass
     lam_max = np.linalg.eigvalsh(-a_over_m)[-1]
     return math.sqrt(lam_max) / trap.omega_r
 

@@ -195,6 +195,26 @@ def test_single_ion_has_no_couplings(bare_trap_100, species):
         cv.compute_jij(spectrum, eq, drive)
 
 
+@pytest.mark.parametrize("shape, n_drives", [
+    ((4,), 1),     # one Rabi frequency per ion, not a column
+    ((5, 1), 1),   # an ion too many
+    ((3, 1), 1),   # an ion too few
+    ((4, 1), 2),   # one column for two drives
+    ((4, 2), 1),   # two columns for one drive
+])
+def test_rabi_shape_must_be_ions_by_drives(shape, n_drives, spin_setup, species):
+    eq, spectrum = spin_setup
+    zmax = spectrum.omega[spectrum.select(cv.OUT_OF_PLANE)].max()
+    drive = cv.SpinDriveConfig(
+        mu=tuple(1.3 * zmax * (k + 1) for k in range(n_drives)),
+        rabi=np.full(shape, 1e5),
+        recoil_energy=cv.photon_recoil(355e-9, species),
+    )
+    with pytest.raises(cv.DomainError) as err:
+        cv.compute_jij(spectrum, eq, drive)
+    assert str(shape) in str(err.value) and str((4, n_drives)) in str(err.value)
+
+
 def test_beta_sweep_records_errors_and_continues(bare_trap_100, species, eq10_100):
     # the 4-ion square has too few distinct distances for the fit, so
     # sweep on the 10-ion crystal instead
