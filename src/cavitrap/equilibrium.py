@@ -10,11 +10,6 @@ energy is invariant under rotation, reflection and relabeling, so no
 alignment is needed. Copies of one crystal (exact images, or shells turned
 along the nearly free inter-shell rotation at N = 19 and 20) agree to
 2e-13 relative; the closest distinct minima seen lie 1.6e-8 apart (N = 120).
-
-Note on "positive definite": with an isotropic trap every crystal has one
-exact zero eigenvalue in the in-plane Hessian, the global-rotation mode.
-Minima are therefore accepted as strict up to that symmetry mode, and
-genuinely negative curvature is rejected.
 """
 
 import math
@@ -37,6 +32,9 @@ from .potential import (
 STABLE = "stable"
 METASTABLE = "metastable"
 
+# how a restart's local solve (_relax) ends
+CONVERGED, UNCONVERGED, SADDLE = "converged", "unconverged", "saddle"
+
 # relative energy agreement for two minima to count as the same configuration
 ENERGY_MATCH_RTOL = 1e-12
 
@@ -47,8 +45,9 @@ ALIGN_ANGLES = 96
 # are dropped from the pseudo-inverse (the noisy global-rotation mode)
 POLISH_EIG_RTOL = 1e-8
 
-# a polished restart is a saddle if its lowest curvature is below minus this
-# many m omega_r^2; the global-rotation mode's near-zero value must pass
+# a converged restart is a saddle if its lowest curvature is below minus this
+# many m omega_r^2; in an isotropic trap every crystal's global-rotation mode
+# has an exact zero eigenvalue, whose near-zero numerical value must pass
 SADDLE_CURVATURE_TOL = 1e-6
 
 # a restart converges when its gradient norm is below this many kq / ell^2
@@ -248,21 +247,36 @@ def crystal_metrics(xy):
     return r_max, float(r.min())
 
 
-def _polish_newton(x, trap, species, ell, grad_tol, max_iter=60):
-    """Guarded Newton refinement of a near-converged minimum.
-
-    Returns (x, energy, gradient norm), the last two from the pass at x.
+def _relax(x, trap, species):
+    """L-BFGS descent from x, then guarded Newton steps, each point's
+    planar_hessian built once: its eigh steps while |g| >= GRAD_TOL_REL
+    kq / ell^2, its eigvalsh then says CONVERGED or SADDLE. Running out of
+    steps or of line-search halvings ends UNCONVERGED. Returns (outcome, x,
+    energy, gradient norm), the last two from the pass at x.
     """
-    step_cap = 0.1 * ell
+    ell = characteristic_length(species, trap.omega_r)
+    echar = CONST.coulomb_coefficient / ell
+    fchar = CONST.coulomb_coefficient / ell**2
+
+    def fun(y):  # energy and gradient from one pair pass, in scaled units
+        e, g = planar_energy_gradient(y * ell, trap, species)
+        return e / echar, g / fchar
+    res = minimize(fun, x / ell, jac=True, method="L-BFGS-B",
+                   options=dict(maxiter=20000, ftol=1e-14, gtol=1e-7))
+
+    x = res.x * ell
+    grad_tol = GRAD_TOL_REL * fchar
+    step_cap, max_steps = 0.1 * ell, 60
     e, g = planar_energy_gradient(x, trap, species)
-    for _ in range(max_iter):
+    for n_steps in range(max_steps + 1):
         gnorm = np.linalg.norm(g)
-        if gnorm < grad_tol:
+        if gnorm >= grad_tol and n_steps == max_steps:
             break
         h = planar_hessian(x, trap, species)
-        # pseudo-inverse on the well-conditioned subspace; the global
-        # rotation direction has a noisy near-zero eigenvalue and a raw
-        # solve would step wildly along it
+        if gnorm < grad_tol:
+            lowest = np.linalg.eigvalsh(h).min()
+            saddle = lowest < -SADDLE_CURVATURE_TOL * species.mass * trap.omega_r**2
+            return (SADDLE if saddle else CONVERGED), x, e, gnorm
         w, v = np.linalg.eigh(h)
         keep = w > POLISH_EIG_RTOL * w[-1]
         step = -(v[:, keep] @ ((v[:, keep].T @ g) / w[keep]))
@@ -279,67 +293,53 @@ def _polish_newton(x, trap, species, ell, grad_tol, max_iter=60):
             scale *= 0.5
         else:
             break
-    return x, e, np.linalg.norm(g)
+    return UNCONVERGED, x, e, gnorm
 
 
-def _one_restart(n_ions, trap, species, seed, index, ell, echar, fchar, grad_tol):
+def _one_restart(n_ions, trap, species, seed, index):
+    """_relax from restart index's start, uniform in a disc of radius 1.5 ell sqrt(N)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    radius = 1.5 * ell * math.sqrt(n_ions)
-    # uniform in a disc of that radius
+    radius = 1.5 * characteristic_length(species, trap.omega_r) * math.sqrt(n_ions)
     r = radius * np.sqrt(rng.random(n_ions))
     phi = 2.0 * math.pi * rng.random(n_ions)
     x0 = np.column_stack([r * np.cos(phi), r * np.sin(phi)]).ravel()
+    return _relax(x0, trap, species)
 
-    def fun(y):  # energy and gradient from one pair pass, in scaled units
-        e, g = planar_energy_gradient(y * ell, trap, species)
-        return e / echar, g / fchar
-    res = minimize(
-        fun,
-        x0 / ell,
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=20000, ftol=1e-14, gtol=1e-7),
-    )
-    x, e, gnorm = _polish_newton(res.x * ell, trap, species, ell, grad_tol)
-    if gnorm >= grad_tol:
-        return None
-    # reject saddles; one near-zero eigenvalue (global rotation) is expected
-    eigs = np.linalg.eigvalsh(planar_hessian(x, trap, species))
-    if eigs.min() < -SADDLE_CURVATURE_TOL * species.mass * trap.omega_r**2:
-        return None
-    return x, e, gnorm
+
+def _same_energy(a, b, floor):
+    """a and b agree to ENERGY_MATCH_RTOL on a scale floored for E = 0 (N = 1)."""
+    return abs(a - b) <= ENERGY_MATCH_RTOL * max(abs(a), floor, abs(b))
 
 
 def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0):
     """All distinct planar equilibria found over n_restarts random starts.
 
     Returns EquilibriumResults sorted by energy; the first is labeled
-    stable, the rest metastable. Raises ConvergenceError if no restart
-    converges.
+    stable, the rest metastable. Raises ConvergenceError, with the number
+    of restarts that ended unconverged and as saddles, if none converges.
     """
     if n_ions < 1 or n_restarts < 1:
         raise DomainError("need n_ions >= 1 and n_restarts >= 1")
-    ell = characteristic_length(species, trap.omega_r)
-    echar = CONST.coulomb_coefficient / ell
-    fchar = CONST.coulomb_coefficient / ell**2
-    grad_tol = GRAD_TOL_REL * fchar
+    echar = CONST.coulomb_coefficient / characteristic_length(species, trap.omega_r)
 
     found = []  # list of [x, energy, gradient norm, count]
+    outcomes = dict.fromkeys((CONVERGED, UNCONVERGED, SADDLE), 0)
     for k in range(n_restarts):
-        item = _one_restart(n_ions, trap, species, seed, k, ell, echar, fchar, grad_tol)
-        if item is None:
+        outcome, x, e, gnorm = _one_restart(n_ions, trap, species, seed, k)
+        outcomes[outcome] += 1
+        if outcome != CONVERGED:
             continue
-        x, e, gnorm = item
-        # floor the relative comparison so exact-zero energies (N = 1) match
-        e_scale = max(abs(e), 1e-6 * echar)
         for entry in found:
-            if abs(e - entry[1]) <= ENERGY_MATCH_RTOL * max(e_scale, abs(entry[1])):
+            if _same_energy(e, entry[1], 1e-6 * echar):
                 entry[3] += 1
                 break
         else:
             found.append([x, e, gnorm, 1])
     if not found:
-        raise ConvergenceError(f"no converged minimum in {n_restarts} restarts")
+        raise ConvergenceError(
+            f"no converged minimum in {n_restarts} restarts: "
+            f"{outcomes[UNCONVERGED]} unconverged, {outcomes[SADDLE]} saddles"
+        )
 
     found.sort(key=lambda entry: entry[1])
     results = []

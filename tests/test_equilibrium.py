@@ -81,21 +81,62 @@ def test_determinism(bare_trap_21, species):
 ])
 def test_one_entry_per_crystal(n, n_restarts, n_minima, bare_trap_100, species,
                                monkeypatch):
-    converged = []
+    outcomes = []
 
     def counted(*args):
         item = restart(*args)
-        converged.append(item is not None)
+        outcomes.append(item[0])
         return item
 
     restart = equilibrium._one_restart
     monkeypatch.setattr(equilibrium, "_one_restart", counted)
     eqs = cv.find_equilibria(n, bare_trap_100, species, n_restarts=n_restarts, seed=0)
     assert len(eqs) == n_minima
-    assert sum(eq.n_found_duplicates for eq in eqs) == sum(converged)
+    converged, unconverged, saddle = (outcomes.count(end) for end in (
+        equilibrium.CONVERGED, equilibrium.UNCONVERGED, equilibrium.SADDLE))
+    assert sum(eq.n_found_duplicates for eq in eqs) == converged
+    assert converged + unconverged + saddle == n_restarts
     energies = [eq.energy for eq in eqs]
     for a, b in zip(energies, energies[1:]):
         assert b - a > equilibrium.ENERGY_MATCH_RTOL * max(abs(a), abs(b))
+
+
+def test_relax_rejects_collinear_saddle(bare_trap_21, species):
+    """Three ions started on a line stay on it: the chain's zigzag mode is unstable."""
+    ell = cv.characteristic_length(species, bare_trap_21.omega_r)
+    x0 = np.array([-1.3, 0.0, 0.1, 0.0, 1.0, 0.0]) * ell
+    outcome, x, _, gnorm = equilibrium._relax(x0, bare_trap_21, species)
+    assert outcome == equilibrium.SADDLE
+    assert gnorm < equilibrium.GRAD_TOL_REL * cv.CONST.coulomb_coefficient / ell**2
+    end = (5.0 / 4.0) ** (1.0 / 3.0) * ell
+    assert np.allclose(np.sort(x[0::2]), [-end, 0.0, end], rtol=0.0, atol=1e-9 * ell)
+    assert np.abs(x[1::2]).max() < 1e-12 * ell
+    curv = np.linalg.eigvalsh(cv.planar_hessian(x, bare_trap_21, species))
+    # axial 1, 3, 29/5; transverse 1 - (axial - 1) / 2 = 1, 0 (rotation), -7/5
+    assert curv / (species.mass * bare_trap_21.omega_r**2) == pytest.approx(
+        [-1.4, 0.0, 1.0, 1.0, 3.0, 5.8], abs=1e-6)
+
+
+def test_relax_keeps_minimum(eq10_21, bare_trap_21, species):
+    eq = eq10_21[0]
+    outcome, x, e, _ = equilibrium._relax(eq.xy_flat, bare_trap_21, species)
+    assert outcome == equilibrium.CONVERGED
+    assert e == pytest.approx(eq.energy, rel=1e-12)
+    assert np.allclose(x, eq.xy_flat, rtol=0.0, atol=1e-6 * eq.d_min)
+
+
+def test_convergence_error_counts_outcomes(bare_trap_21, species, monkeypatch):
+    """With every restart dropped the error says how each one ended."""
+    ends = iter([equilibrium.SADDLE, equilibrium.UNCONVERGED,
+                 equilibrium.SADDLE, equilibrium.UNCONVERGED, equilibrium.UNCONVERGED])
+
+    def dropped(x, trap, species):
+        return next(ends), x, 0.0, 1.0
+
+    monkeypatch.setattr(equilibrium, "_relax", dropped)
+    with pytest.raises(cv.ConvergenceError,
+                       match="in 5 restarts: 3 unconverged, 2 saddles"):
+        cv.find_equilibria(4, bare_trap_21, species, n_restarts=5, seed=0)
 
 
 def test_align_recovers_symmetry_transforms(eq10_21, bare_trap_21, species):
