@@ -35,7 +35,6 @@ numpy and scipy run without the interpreter lock, so the threads overlap.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -44,7 +43,13 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .core import CONST
-from .equilibrium import EquilibriumResult, _best_assignment, _xy, align_configurations
+from .equilibrium import (
+    EquilibriumResult,
+    _best_assignment,
+    _cpu_count,
+    _xy,
+    align_configurations,
+)
 from .errors import DomainError, SamplingError
 from .potential import planar_energy, planar_energy_batch
 
@@ -263,14 +268,6 @@ def optimize_path(x0, xf, params, trap, species, path_index=0):
         peak_energy=peak,
         barrier_from_start=(peak - energies[0]) / CONST.boltzmann,
     )
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def barrier_upper_bound(paths):

@@ -637,7 +637,8 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     value the run read, defaults included, except the output directory.
     """
     if threads is not None:  # a removed option; the slot stays for positional callers
-        raise ValidationError("the threads option was removed; restarts run serially")
+        raise ValidationError(
+            "the threads option was removed; restarts run in one process per CPU")
     start = time.monotonic()
     given = load_config(config_path)
     if task:

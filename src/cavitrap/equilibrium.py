@@ -4,17 +4,23 @@ The search runs in scaled units (lengths over the Coulomb length ell,
 energies over e^2/(4 pi eps0 ell)) because SI crystal energies are ~1e-19 J
 and quasi-Newton stopping tests with absolute floors stall there. Each
 restart draws its own RNG stream from (seed, restart_index), and the
-restarts run one after another in index order. Two converged restarts are the
-same crystal exactly when their energies agree to ENERGY_MATCH_RTOL: the
-energy is invariant under rotation, reflection and relabeling, so no
-alignment is needed. Copies of one crystal (exact images, or shells turned
-along the nearly free inter-shell rotation at N = 19 and 20) agree to
-2e-13 relative; the closest distinct minima seen lie 1.6e-8 apart (N = 120).
+restarts run in min(restarts, CPUs) forked worker processes whose outcomes
+are merged in index order, so the result does not depend on the CPU count.
+Two converged restarts are the same crystal exactly when their energies
+agree to ENERGY_MATCH_RTOL: the energy is invariant under rotation,
+reflection and relabeling, so no alignment is needed. Copies of one
+crystal (exact images, or shells turned along the nearly free inter-shell
+rotation at N = 19 and 20) agree to 2e-13 relative; the closest distinct
+minima seen lie 1.6e-8 apart (N = 120).
 """
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
@@ -306,6 +312,33 @@ def _one_restart(n_ions, trap, species, seed, index):
     return _relax(x0, trap, species)
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _restart_outcomes(n_ions, trap, species, n_restarts, seed):
+    """_one_restart of every index, in index order, run in min(n_restarts,
+    CPUs) forked worker processes. The error of the lowest failing index is
+    the one raised, and no worker outlives the call.
+
+    The restarts run serially where that is one worker, where the platform
+    cannot fork, or where the caller runs other threads: a forked child gets
+    only the forking thread, and a lock another thread held stays locked.
+    """
+    restart = partial(_one_restart, n_ions, trap, species, seed)
+    workers = min(n_restarts, _cpu_count())
+    if (workers == 1 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return list(map(restart, range(n_restarts)))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(restart, range(n_restarts)))
+
+
 def _same_energy(a, b, floor):
     """a and b agree to ENERGY_MATCH_RTOL on a scale floored for E = 0 (N = 1)."""
     return abs(a - b) <= ENERGY_MATCH_RTOL * max(abs(a), floor, abs(b))
@@ -324,8 +357,7 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0):
 
     found = []  # list of [x, energy, gradient norm, count]
     outcomes = dict.fromkeys((CONVERGED, UNCONVERGED, SADDLE), 0)
-    for k in range(n_restarts):
-        outcome, x, e, gnorm = _one_restart(n_ions, trap, species, seed, k)
+    for outcome, x, e, gnorm in _restart_outcomes(n_ions, trap, species, n_restarts, seed):
         outcomes[outcome] += 1
         if outcome != CONVERGED:
             continue

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -90,6 +94,7 @@ def test_one_entry_per_crystal(n, n_restarts, n_minima, bare_trap_100, species,
 
     restart = equilibrium._one_restart
     monkeypatch.setattr(equilibrium, "_one_restart", counted)
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 1)  # appends stay in-process
     eqs = cv.find_equilibria(n, bare_trap_100, species, n_restarts=n_restarts, seed=0)
     assert len(eqs) == n_minima
     converged, unconverged, saddle = (outcomes.count(end) for end in (
@@ -134,9 +139,91 @@ def test_convergence_error_counts_outcomes(bare_trap_21, species, monkeypatch):
         return next(ends), x, 0.0, 1.0
 
     monkeypatch.setattr(equilibrium, "_relax", dropped)
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 1)  # `ends` is read in-process
     with pytest.raises(cv.ConvergenceError,
                        match="in 5 restarts: 3 unconverged, 2 saddles"):
         cv.find_equilibria(4, bare_trap_21, species, n_restarts=5, seed=0)
+
+
+def _bits(eqs):
+    return [(eq.positions.tobytes(),
+             np.array([eq.energy, eq.r_max, eq.d_min, eq.grad_norm]).tobytes(),
+             eq.stability, eq.ring_configuration, eq.ring_ambiguous,
+             eq.n_found_duplicates) for eq in eqs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 18, 20, 37])
+def test_restart_pool_matches_serial(n, bare_trap_100, species, monkeypatch):
+    """Bitwise the same minima on two workers as on one; at N = 13, 18, 20
+    and 37 some restarts end unconverged."""
+    for seed in (0, 1):
+        monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 1)
+        serial = cv.find_equilibria(n, bare_trap_100, species, n_restarts=12, seed=seed)
+        monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
+        pooled = cv.find_equilibria(n, bare_trap_100, species, n_restarts=12, seed=seed)
+        assert multiprocessing.active_children() == []
+        assert _bits(pooled) == _bits(serial)
+
+
+def _restart_pid(n_ions, trap, species, seed, index):
+    return index, os.getpid()
+
+
+_ONE_RESTART = equilibrium._one_restart
+
+
+def _restart_failing(n_ions, trap, species, seed, index):
+    if index == 2:
+        time.sleep(0.2)  # index 4 has failed by now on the pool
+        raise cv.ConvergenceError("restart 2 failed")
+    if index == 4:
+        raise cv.ConvergenceError("restart 4 failed")
+    return _ONE_RESTART(n_ions, trap, species, seed, index)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the restart pool needs the fork start method")
+def test_restarts_run_in_workers_in_index_order(bare_trap_21, species, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_one_restart", _restart_pid)
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
+    ran = equilibrium._restart_outcomes(4, bare_trap_21, species, 9, 0)
+    assert [k for k, _ in ran] == list(range(9))
+    assert os.getpid() not in {pid for _, pid in ran}
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 1)
+    ran = equilibrium._restart_outcomes(4, bare_trap_21, species, 9, 0)
+    assert ran == [(k, os.getpid()) for k in range(9)]
+
+
+def test_restarts_stay_in_process_beside_other_threads(bare_trap_21, species,
+                                                       monkeypatch):
+    """No fork while another thread runs: the child would lack that thread."""
+    monkeypatch.setattr(equilibrium, "_one_restart", _restart_pid)
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        ran = equilibrium._restart_outcomes(4, bare_trap_21, species, 9, 0)
+    finally:
+        release.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    assert ran == [(k, os.getpid()) for k in range(9)]
+    assert multiprocessing.active_children() == []
+
+
+def test_restart_pool_raises_lowest_failing_index(bare_trap_21, species, monkeypatch):
+    """A worker's error surfaces as on the serial path; no worker is left."""
+    monkeypatch.setattr(equilibrium, "_one_restart", _restart_failing)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(equilibrium, "_cpu_count", lambda: cpus)
+        with pytest.raises(cv.ConvergenceError) as info:
+            cv.find_equilibria(4, bare_trap_21, species, n_restarts=6, seed=0)
+        errors.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert errors == [(cv.ConvergenceError, "restart 2 failed")] * 2
 
 
 def test_align_recovers_symmetry_transforms(eq10_21, bare_trap_21, species):
