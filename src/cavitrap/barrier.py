@@ -26,17 +26,15 @@ matches the other minimum onto the start, once, over the trap's symmetries
 (rotations and reflections in an isotropic trap, the four axis sign flips
 otherwise), so the walk ends at the same minimum in the start's frame.
 
-barrier_pair walks its paths concurrently, one thread per CPU the process
-may use. Path k draws only from its own SeedSequence(seed, spawn_key=(k,))
-stream and shares nothing writable with the other paths, so the paths and
-bounds are bitwise the same for any number of threads. The work of a step
-is inverse-CDF draws and array arithmetic on thousands of elements, which
-numpy and scipy run without the interpreter lock, so the threads overlap.
+barrier_pair walks its paths in min(n_paths, CPUs) forked worker
+processes, the same map the equilibrium search runs its restarts on.
+Path k draws only from its own SeedSequence(seed, spawn_key=(k,)) stream,
+so the paths and bounds are bitwise the same for any number of workers.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -46,7 +44,8 @@ from .core import CONST
 from .equilibrium import (
     EquilibriumResult,
     _best_assignment,
-    _cpu_count,
+    _check_seed,
+    _in_workers,
     _xy,
     align_configurations,
 )
@@ -63,7 +62,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class BarrierWalkParams:
     """Walk defaults; d and epsilon of None resolve from the endpoint distance.
 
-    A given d or epsilon must be positive, and epsilon > d if both are.
+    A given d or epsilon must be positive, epsilon > d if both are, and
+    seed an integer >= 0.
     """
 
     d: float = None               # m, target step scale, default |x0 - xf| / 20
@@ -80,6 +80,7 @@ class BarrierWalkParams:
             raise DomainError("need d > 0 and epsilon > 0 when given")
         if self.d is not None and self.epsilon is not None and self.epsilon <= self.d:
             raise DomainError("need epsilon > d")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -286,22 +287,12 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     start once, over the trap's symmetries, and every path walks toward
     that aligned target.
 
-    The paths run in min(n_paths, CPUs) threads. Each draws from its own
-    seeded stream and reads only the shared endpoints, trap and species,
-    so the result does not depend on the thread count or the scheduling.
-    If paths raise, the error of the lowest failing index is raised once
-    every path has ended, as a serial loop over the indices would raise.
+    The paths run on _in_workers' forked processes, so the result does not
+    depend on the worker count; the lowest failing path's error is raised.
     """
     target = _aligned_target(eq_start, eq_other, trap)
-    with ThreadPoolExecutor(max_workers=min(params.n_paths, _cpu_count())) as pool:
-        futures = [
-            pool.submit(
-                optimize_path, eq_start, target, params, trap, species, path_index=k
-            )
-            for k in range(params.n_paths)
-        ]
-    # leaving the block waited for every path; result() re-raises in index order
-    paths = [f.result() for f in futures]
+    walk = partial(optimize_path, eq_start, target, params, trap, species)
+    paths = _in_workers(walk, params.n_paths)
     bound, best = barrier_upper_bound(paths)
     e_other = (
         eq_other.energy

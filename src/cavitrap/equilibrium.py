@@ -320,23 +320,29 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _restart_outcomes(n_ions, trap, species, n_restarts, seed):
-    """_one_restart of every index, in index order, run in min(n_restarts,
-    CPUs) forked worker processes. The error of the lowest failing index is
-    the one raised, and no worker outlives the call.
+def _in_workers(fn, count):
+    """[fn(0), ..., fn(count - 1)] from min(count, CPUs) forked worker
+    processes. The error of the lowest failing index is raised, and no
+    worker outlives the call.
 
-    The restarts run serially where that is one worker, where the platform
-    cannot fork, or where the caller runs other threads: a forked child gets
-    only the forking thread, and a lock another thread held stays locked.
+    The calls run in the caller, one by one, for one worker, on a platform
+    without fork, or beside other threads: a forked child gets only the
+    forking thread, and a lock another thread held stays locked.
     """
-    restart = partial(_one_restart, n_ions, trap, species, seed)
-    workers = min(n_restarts, _cpu_count())
+    workers = min(count, _cpu_count())
     if (workers == 1 or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return list(map(restart, range(n_restarts)))
+        return [fn(k) for k in range(count)]
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(restart, range(n_restarts)))
+        futures = [pool.submit(fn, k) for k in range(count)]
+    return [f.result() for f in futures]
+
+
+def _check_seed(seed):
+    """Raise DomainError unless seed is an integer >= 0 (a bool is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"need an integer seed >= 0, got {seed!r}")
 
 
 def _same_energy(a, b, floor):
@@ -353,11 +359,13 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0):
     """
     if n_ions < 1 or n_restarts < 1:
         raise DomainError("need n_ions >= 1 and n_restarts >= 1")
+    _check_seed(seed)
     echar = CONST.coulomb_coefficient / characteristic_length(species, trap.omega_r)
 
     found = []  # list of [x, energy, gradient norm, count]
     outcomes = dict.fromkeys((CONVERGED, UNCONVERGED, SADDLE), 0)
-    for outcome, x, e, gnorm in _restart_outcomes(n_ions, trap, species, n_restarts, seed):
+    restart = partial(_one_restart, n_ions, trap, species, seed)
+    for outcome, x, e, gnorm in _in_workers(restart, n_restarts):
         outcomes[outcome] += 1
         if outcome != CONVERGED:
             continue

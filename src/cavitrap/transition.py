@@ -15,8 +15,8 @@ eigensolve of the pencil scaled by 1 / sqrt(U1 c_i). An ion the beam
 does not reach at double precision (c_i <= eps max c) leaves no finite
 answer, and find_alpha_tr raises BracketError.
 
-In the uniform-waist limit (c_i identical) this reduces to the closed form
-alpha_tr = sqrt(max eig(-A/m)) / omega_r, kept here as a cross-check.
+The uniform-waist limit (c_i identical) has the closed form alpha_tr_uniform,
+sqrt(max eig(-A/m)) / omega_r: the asymptote of the Table I waist rule.
 """
 
 import math

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -11,6 +12,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import cavitrap as cv  # noqa: E402
 
 OMEGA_R = 2.0 * math.pi * 0.5e6
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """No test leaves a worker process behind: restarts and barrier walks
+    run in forked workers, under the CLI and acceptance tests too."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

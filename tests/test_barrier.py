@@ -1,5 +1,6 @@
 import math
-import sys
+import multiprocessing
+import os
 import threading
 import time
 
@@ -10,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import chisquare, ks_2samp, kstest
 
 import cavitrap as cv
-from cavitrap import barrier
+from cavitrap import barrier, equilibrium
 from cavitrap.barrier import _grey_pool
 
 KB = cv.CONST.boltzmann
@@ -31,6 +32,13 @@ def test_params_validation():
         cv.BarrierWalkParams(t_p=0.0)
     with pytest.raises(cv.DomainError):
         cv.BarrierWalkParams(d=1e-6, epsilon=1e-6)  # needs epsilon > d
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_params_reject_bad_seed(seed):
+    """A walk's seed must be an integer >= 0 before any path starts."""
+    with pytest.raises(cv.DomainError, match="seed"):
+        cv.BarrierWalkParams(seed=seed)
 
 
 @pytest.mark.parametrize("step", [
@@ -352,9 +360,37 @@ def test_axis_flip_tie_goes_to_first_flip(anisotropic_trap):
     assert np.array_equal(got, want.ravel())
 
 
-def test_barrier_pair_threads_match_serial_walks(five_ion_pair, bare_trap_21,
-                                                species, monkeypatch):
-    """More threads than cores and a switch every microsecond change no bit."""
+_WALK = cv.optimize_path
+_RAN = {}  # "dir": where walkers leave marks; forked workers inherit it
+
+
+def _walk_marked(x0, xf, params, trap, species, path_index=0):
+    """optimize_path that first leaves a file named '<pid>-<path index>'."""
+    (_RAN["dir"] / f"{os.getpid()}-{path_index}").touch()
+    return _WALK(x0, xf, params, trap, species, path_index)
+
+
+def _walk_failing(x0, xf, params, trap, species, path_index=0):
+    """Paths 2 and 4 fail; path 2 waits until path 4 has failed, and the
+    paths after 4 are slow, so some are still queued when path 2 fails."""
+    marks = _RAN["dir"]
+    (marks / str(path_index)).touch()
+    if path_index > 4:
+        time.sleep(0.1)
+    if path_index == 2:
+        deadline = time.monotonic() + 30.0
+        while not (marks / "4-failed").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise cv.SamplingError("path 2 failed")
+    if path_index == 4:
+        (marks / "4-failed").touch()
+        raise cv.SamplingError("path 4 failed")
+    return _WALK(x0, xf, params, trap, species, path_index)
+
+
+def test_barrier_pair_workers_match_serial_walks(five_ion_pair, bare_trap_21,
+                                                species, tmp_path, monkeypatch):
+    """One, two and four workers give the bits of serial optimize_path calls."""
     params = cv.BarrierWalkParams(seed=2, n_paths=6, n_samples=200)
     start, other = five_ion_pair[0], five_ion_pair[1]
     target = cv.align_configurations(start.xy, other.xy)[0]
@@ -362,58 +398,48 @@ def test_barrier_pair_threads_match_serial_walks(five_ion_pair, bare_trap_21,
         cv.optimize_path(start, target, params, bare_trap_21, species, path_index=k)
         for k in range(params.n_paths)
     ]
-    walkers = set()
-
-    def recorded(*args, **kwargs):
-        walkers.add(threading.get_ident())
-        return cv.optimize_path(*args, **kwargs)
-
-    monkeypatch.setattr(barrier, "optimize_path", recorded)
-    monkeypatch.setattr(barrier, "_cpu_count", lambda: 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    bound, best = cv.barrier_upper_bound(serial)
+    monkeypatch.setattr(barrier, "optimize_path", _walk_marked)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(equilibrium, "_cpu_count", lambda: cpus)
+        marks = tmp_path / str(cpus)
+        marks.mkdir()
+        monkeypatch.setitem(_RAN, "dir", marks)
         t0 = time.perf_counter()
         result = cv.barrier_pair(start, other, params, bare_trap_21, species)
-        elapsed = time.perf_counter() - t0
-    finally:
-        sys.setswitchinterval(interval)
-    assert elapsed < 60.0
-    assert len(walkers) > 1 and threading.get_ident() not in walkers
-    assert len(result["paths"]) == params.n_paths
-    for got, want in zip(result["paths"], serial):
-        assert np.array_equal(got.points, want.points)
-        assert np.array_equal(got.energies, want.energies)
-    bound, best = cv.barrier_upper_bound(serial)
-    assert result["barrier_from_start"] == bound
-    assert result["barrier_from_other"] == (best.peak_energy - other.energy) / KB
+        assert time.perf_counter() - t0 < 60.0
+        assert multiprocessing.active_children() == []
+        ran = [name.split("-") for name in os.listdir(marks)]
+        assert sorted(int(k) for _, k in ran) == list(range(params.n_paths))
+        pids = {int(pid) for pid, _ in ran}
+        if cpus == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 < len(pids) <= cpus
+        assert len(result["paths"]) == params.n_paths
+        for got, want in zip(result["paths"], serial):
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.energies, want.energies)
+        assert result["barrier_from_start"] == bound
+        assert result["barrier_from_other"] == (best.peak_energy - other.energy) / KB
 
 
 def test_barrier_pair_raises_first_failing_path(five_ion_pair, bare_trap_21,
-                                                species, monkeypatch):
-    """Index 2's error wins although index 4 fails first; no thread is left."""
-    params = cv.BarrierWalkParams(seed=0, n_paths=6, n_samples=100)
-    ran = []
-    four_failed = threading.Event()
-
-    def flaky(*args, path_index, **kwargs):
-        ran.append(path_index)
-        if path_index == 2:
-            four_failed.wait(timeout=30.0)
-            raise cv.SamplingError("path 2 failed")
-        if path_index == 4:
-            four_failed.set()
-            raise cv.SamplingError("path 4 failed")
-        return cv.optimize_path(*args, path_index=path_index, **kwargs)
-
-    monkeypatch.setattr(barrier, "optimize_path", flaky)
-    monkeypatch.setattr(barrier, "_cpu_count", lambda: 4)
+                                                species, tmp_path, monkeypatch):
+    """Index 2's error wins although index 4 fails first; every path runs and
+    no worker or thread is left (a pool.map would cancel the paths still
+    queued when path 2 fails)."""
+    params = cv.BarrierWalkParams(seed=0, n_paths=20, n_samples=100)
+    monkeypatch.setattr(barrier, "optimize_path", _walk_failing)
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 4)
+    monkeypatch.setitem(_RAN, "dir", tmp_path)
     before = set(threading.enumerate())
     with pytest.raises(cv.SamplingError, match="path 2 failed"):
         cv.barrier_pair(five_ion_pair[0], five_ion_pair[1], params,
                         bare_trap_21, species)
-    assert four_failed.is_set()
-    assert sorted(ran) == list(range(params.n_paths))
+    assert (tmp_path / "4-failed").exists()
+    assert all((tmp_path / str(k)).exists() for k in range(params.n_paths))
+    assert multiprocessing.active_children() == []
     assert set(threading.enumerate()) <= before
     assert threading.active_count() == len(before)
 

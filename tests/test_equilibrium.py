@@ -165,7 +165,7 @@ def test_restart_pool_matches_serial(n, bare_trap_100, species, monkeypatch):
         assert _bits(pooled) == _bits(serial)
 
 
-def _restart_pid(n_ions, trap, species, seed, index):
+def _index_pid(index):
     return index, os.getpid()
 
 
@@ -183,28 +183,25 @@ def _restart_failing(n_ions, trap, species, seed, index):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the restart pool needs the fork start method")
-def test_restarts_run_in_workers_in_index_order(bare_trap_21, species, monkeypatch):
-    monkeypatch.setattr(equilibrium, "_one_restart", _restart_pid)
+def test_restarts_run_in_workers_in_index_order(monkeypatch):
     monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
-    ran = equilibrium._restart_outcomes(4, bare_trap_21, species, 9, 0)
+    ran = equilibrium._in_workers(_index_pid, 9)
     assert [k for k, _ in ran] == list(range(9))
     assert os.getpid() not in {pid for _, pid in ran}
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 1)
-    ran = equilibrium._restart_outcomes(4, bare_trap_21, species, 9, 0)
+    ran = equilibrium._in_workers(_index_pid, 9)
     assert ran == [(k, os.getpid()) for k in range(9)]
 
 
-def test_restarts_stay_in_process_beside_other_threads(bare_trap_21, species,
-                                                       monkeypatch):
+def test_restarts_stay_in_process_beside_other_threads(monkeypatch):
     """No fork while another thread runs: the child would lack that thread."""
-    monkeypatch.setattr(equilibrium, "_one_restart", _restart_pid)
     monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30.0,))
     other.start()
     try:
-        ran = equilibrium._restart_outcomes(4, bare_trap_21, species, 9, 0)
+        ran = equilibrium._in_workers(_index_pid, 9)
     finally:
         release.set()
         other.join(timeout=30.0)
@@ -224,6 +221,20 @@ def test_restart_pool_raises_lowest_failing_index(bare_trap_21, species, monkeyp
         errors.append((type(info.value), str(info.value)))
         assert multiprocessing.active_children() == []
     assert errors == [(cv.ConvergenceError, "restart 2 failed")] * 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_find_equilibria_rejects_bad_seed(seed, bare_trap_21, species, monkeypatch):
+    """A seed that is not an integer >= 0 fails before any restart starts."""
+    monkeypatch.setattr(equilibrium, "_in_workers", None)  # a call would raise TypeError
+    with pytest.raises(cv.DomainError, match="seed"):
+        cv.find_equilibria(3, bare_trap_21, species, n_restarts=2, seed=seed)
+
+
+def test_find_equilibria_takes_numpy_integer_seed(bare_trap_21, species):
+    eqs = cv.find_equilibria(3, bare_trap_21, species, n_restarts=2, seed=np.int64(4))
+    assert _bits(eqs) == _bits(cv.find_equilibria(3, bare_trap_21, species,
+                                                  n_restarts=2, seed=4))
 
 
 def test_align_recovers_symmetry_transforms(eq10_21, bare_trap_21, species):
