@@ -6,8 +6,10 @@ written atomically (temp file then rename) and a manifest.json records the
 config hash, code version, wall time, output list, and warnings. Identical
 (config, seed) pairs produce byte-identical data files.
 
-Exit codes: 0 success, 2 config parse failure, 3 validation failure,
-4 compute failure. Failures print a one-line JSON diagnostic to stderr.
+Exit codes: 0 success; 2 a command-line usage error, an unreadable or
+unparseable config, or any other OSError; 3 a ValidationError or
+DomainError (invalid config or inputs); 4 any other failure. Failures
+past the command line print a one-line JSON diagnostic to stderr.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .core import (
     intensity_from_power,
     load_species,
     stark_coefficient,
+    trap_depth,
 )
 from .barrier import BarrierWalkParams, barrier_pair
 from .equilibrium import find_equilibria
@@ -54,17 +57,6 @@ from .transition import (
     fit_power_law,
     transition_scan,
     waist_sweep,
-)
-
-TASKS = (
-    "equilibrate",
-    "modes",
-    "transition-scan",
-    "waist-scan",
-    "barrier",
-    "spin",
-    "lifetime",
-    "table-one",
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -173,7 +165,7 @@ def _is_kind(value, kind):
 class RunManifest:
     config_hash: str
     code_version: str
-    wall_time: float
+    wall_time_s: float
     outputs: tuple
     warnings: tuple
 
@@ -213,16 +205,8 @@ def _csv(header, rows):
     return buf.getvalue()
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(x):
@@ -266,7 +250,7 @@ def _build_trap(cfg, species):
         intensity = cfg.read("intensity_w_m2")
         if intensity is None:
             intensity = intensity_from_power(power, optical.finesse, optical.waist)
-        depth = stark_coefficient(species, _laser_omega(trap)) * intensity
+        depth = trap_depth(species, _laser_omega(trap), intensity)
     else:
         depth = 0.0
     return trap.with_depth(depth)
@@ -343,29 +327,28 @@ def _task_modes(cfg, trap, species, seed):
     ], []
 
 
+SCAN_HEADER = ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"]
+
+
+def _scan_row(w0, point):
+    return [point.n_ions, _fmt(w0), _fmt(point.w0_over_rmax),
+            _fmt(point.alpha_tr), point.stability]
+
+
 def _task_transition_scan(cfg, trap, species, seed):
     points = transition_scan(
         cfg.read("n_ions_list"), trap, species,
         n_restarts=cfg.read("n_restarts", 12), seed=seed,
     )
-    rows = [
-        [p.n_ions, _fmt(trap.optical.waist), _fmt(p.w0_over_rmax),
-         _fmt(p.alpha_tr), p.stability]
-        for p in points
-    ]
     files = [("transition_points.csv", _csv(
-        ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"], rows,
+        SCAN_HEADER, [_scan_row(trap.optical.waist, p) for p in points],
     ))]
-    warnings = []
-    if len(points) >= 3:
+    try:
         fit = fit_power_law([(p.n_ions, p.alpha_tr) for p in points])
-        files.append(("power_law_fit.json", _json(
-            dict(prefactor=fit.prefactor, exponent=fit.exponent,
-                 residual=fit.residual),
-        )))
-    else:
-        warnings.append("fewer than 3 points, power-law fit skipped")
-    return files, warnings
+    except FitError as exc:  # the points stand; no fit file is written
+        return files, [f"power-law fit skipped: {type(exc).__name__}: {exc}"]
+    files.append(("power_law_fit.json", _json(asdict(fit))))
+    return files, []
 
 
 def _task_waist_scan(cfg, trap, species, seed):
@@ -380,13 +363,8 @@ def _task_waist_scan(cfg, trap, species, seed):
         if point is None:
             warnings.append(f"w0 = {w0 * 1e6:g} um failed: {error}")
             continue
-        rows.append([
-            point.n_ions, _fmt(w0), _fmt(point.w0_over_rmax),
-            _fmt(point.alpha_tr), point.stability,
-        ])
-    return [("waist_scan.csv", _csv(
-        ["n_ions", "w0_m", "w0_over_rmax", "alpha_tr", "stability"], rows,
-    ))], warnings
+        rows.append(_scan_row(w0, point))
+    return [("waist_scan.csv", _csv(SCAN_HEADER, rows))], warnings
 
 
 def _task_barrier(cfg, trap, species, seed):
@@ -624,6 +602,7 @@ _TASK_IMPL = {
     "lifetime": _task_lifetime,
     "table-one": _task_table_one,
 }
+TASKS = tuple(_TASK_IMPL)
 
 # accept the config-file task spellings too: "transition-scan" -> "TransitionScan"
 _TASK_ALIASES = {name.title().replace("-", ""): name for name in TASKS}
@@ -670,19 +649,11 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     manifest = RunManifest(
         config_hash=config_hash(resolved),
         code_version=__version__,
-        wall_time=time.monotonic() - start,
+        wall_time_s=time.monotonic() - start,
         outputs=tuple(outputs),
         warnings=tuple(warnings),
     )
-    _atomic_write(os.path.join(out, "manifest.json"), _json(
-        dict(
-            config_hash=manifest.config_hash,
-            code_version=manifest.code_version,
-            wall_time_s=manifest.wall_time,
-            outputs=list(manifest.outputs),
-            warnings=list(manifest.warnings),
-        ),
-    ))
+    _atomic_write(os.path.join(out, "manifest.json"), _json(asdict(manifest)))
     return manifest
 
 
@@ -691,12 +662,10 @@ def main(argv=None):
         prog="cavitrap",
         description="2D ion crystals in a hybrid DC + optical-cavity trap",
     )
-    sub = parser.add_subparsers(dest="task", required=True)
-    for name in TASKS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
+    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
     def fail(code, kind, message):
@@ -714,8 +683,6 @@ def main(argv=None):
         return fail(2, type(exc).__name__, str(exc))
     except (ValidationError, DomainError) as exc:
         return fail(3, type(exc).__name__, str(exc))
-    except CavitrapError as exc:
-        return fail(4, type(exc).__name__, str(exc))
     except Exception as exc:  # keep batch callers out of tracebacks
         return fail(4, type(exc).__name__, str(exc))
     for path in manifest.outputs:

@@ -46,7 +46,7 @@ class PowerLawFit:
 
 
 def find_alpha_tr(eq, trap, species):
-    """Transition aspect ratio of one configuration from one eigensolve."""
+    """Transition aspect ratio of one EquilibriumResult from one eigensolve."""
     xy = eq.xy
     if len(xy) == 1:
         return TransitionPoint(1, 0.0, eq.stability, math.inf)
@@ -63,12 +63,11 @@ def find_alpha_tr(eq, trap, species):
     scale = 1.0 / np.sqrt(u1 * curv)
     alpha_sq = np.linalg.eigvalsh(scale[:, None] * lhs * scale[None, :])[-1]
     alpha = math.sqrt(max(alpha_sq, 0.0))  # <= 0: the plane holds at alpha = 0
-    r_max = float(np.linalg.norm(xy - xy.mean(axis=0), axis=1).max())
     return TransitionPoint(
         n_ions=len(xy),
         alpha_tr=alpha,
         stability=eq.stability,
-        w0_over_rmax=trap.optical.waist / r_max if r_max > 0 else math.inf,
+        w0_over_rmax=trap.optical.waist / eq.r_max if eq.r_max > 0 else math.inf,
     )
 
 

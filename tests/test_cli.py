@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -38,8 +39,7 @@ def equilibrate_run(tmp_path_factory):
 def test_outputs_exist_and_manifest_lists_them(equilibrate_run):
     _, out = equilibrate_run
     manifest = json.loads((out / "manifest.json").read_text())
-    for key in ("config_hash", "code_version", "wall_time_s", "outputs", "warnings"):
-        assert key in manifest
+    assert set(manifest) == {f.name for f in dataclasses.fields(cli.RunManifest)}
     assert manifest["outputs"]
     for path in manifest["outputs"]:
         assert (out / path.split("/")[-1]).exists()
@@ -236,6 +236,43 @@ def test_spin_without_beta_fit_writes_graph(tmp_path, n):
     assert summary["af_fraction"] == 1.0
     assert len(read_csv(out / "jij.csv")) == n + 1
     assert len(read_csv(out / "edges.csv")) == n * (n - 1) // 2 + 1
+
+
+def test_transition_scan_without_fit_writes_points(tmp_path):
+    """alpha_tr = 0 at N = 1 fails the power-law fit, not the scan."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions_list=[1, 2, 3, 4], n_restarts=4)
+    out = tmp_path / "out"
+    assert cli.main(["transition-scan", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [Path(p).name for p in manifest["outputs"]] == ["transition_points.csv"]
+    assert not (out / "power_law_fit.json").exists()
+    assert manifest["warnings"] == [
+        "power-law fit skipped: FitError: power-law fit needs positive N and alpha"
+    ]
+    rows = read_csv(out / "transition_points.csv")
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4"]
+    assert rows[1][2:4] == ["inf", "0.0"]
+
+
+def test_exit_4_on_compute_failure(tmp_path, capsys):
+    """At a 1 um waist the outer ions see no lattice curvature."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions_list=[30], waist_um=1.0,
+                       n_restarts=2)
+    code = cli.main(["transition-scan", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "BracketError"
+    assert not (tmp_path / "transition_points.csv").exists()
+
+
+def test_exit_4_on_unexpected_error(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken task")
+
+    monkeypatch.setitem(cli._TASK_IMPL, "modes", broken)
+    cfg = write_config(tmp_path / "cfg.json", n_ions=4)
+    assert cli.main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 4
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic == dict(error="RuntimeError", message="broken task")
 
 
 @pytest.mark.parametrize("task, extra, key", [
