@@ -20,9 +20,11 @@ from .core import (
     characteristic_length,
     depth_for_aspect,
     effective_frequencies,
+    intensity_for_depth,
     intensity_from_power,
     load_species,
     make_trap,
+    power_for_intensity,
     stark_coefficient,
     trap_depth,
     yb171,

@@ -32,13 +32,15 @@ from .core import (
     OpticalTrapConfig,
     TrapConfig,
     depth_for_aspect,
+    intensity_for_depth,
     intensity_from_power,
     load_species,
+    power_for_intensity,
     stark_coefficient,
     trap_depth,
 )
 from .barrier import BarrierWalkParams, barrier_pair
-from .equilibrium import find_equilibria
+from .equilibrium import _pair_r, find_equilibria
 from .errors import CavitrapError, DomainError, FitError, ValidationError
 from .lifetime import (
     NON_LANGEVIN_HEATING_BOUND,
@@ -49,7 +51,7 @@ from .lifetime import (
     recoil_heating,
     scattering_rates,
 )
-from .modes import label_modes, normal_modes
+from .modes import OUT_OF_PLANE, label_modes, normal_modes
 from .spin import beta_sweep, compute_jij, fit_beta, uniform_drive
 from .transition import (
     alpha_tr_uniform,
@@ -419,7 +421,7 @@ def _task_spin(cfg, trap, species, seed):
     n = cfg.read("n_ions")
     eq = _equilibria(n, cfg, trap, species, seed)[0]
     spectrum = normal_modes(eq, trap, species)
-    z_max = spectrum.omega[spectrum.select("out_of_plane")].max()
+    z_max = spectrum.omega[spectrum.select(OUT_OF_PLANE)].max()
 
     recoil = photon_recoil(cfg.read("sdf_wavelength_nm") * 1e-9, species)
     rabi = cfg.read("rabi_khz") * 2.0 * math.pi * 1e3
@@ -440,15 +442,10 @@ def _task_spin(cfg, trap, species, seed):
     rows = [[i] + [_fmt(v) for v in graph.j[i]] for i in range(n)]
     files = [("jij.csv", _csv(header, rows))]
 
-    xy = eq.xy
-    edge_rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = float(np.linalg.norm(xy[i] - xy[j]))
-            edge_rows.append([
-                i, j, _fmt(r), _fmt(graph.j[i, j]),
-                "AF" if graph.j[i, j] > 0 else "FM",
-            ])
+    edge_rows = [
+        [i, j, _fmt(r), _fmt(graph.j[i, j]), "AF" if graph.j[i, j] > 0 else "FM"]
+        for i, j, r in zip(*np.triu_indices(n, 1), _pair_r(eq))
+    ]
     files.append(
         ("edges.csv", _csv(["i", "j", "r_m", "J_rad_per_s", "sign"], edge_rows))
     )
@@ -480,7 +477,7 @@ def _task_lifetime(cfg, trap, species, seed):
     omega_l = _laser_omega(trap)
     intensity = cfg.read("intensity_w_m2")
     if intensity is None and trap.optical.depth > 0:
-        intensity = trap.optical.depth / stark_coefficient(species, omega_l)
+        intensity = intensity_for_depth(species, omega_l, trap.optical.depth)
     elif intensity is None:
         raise ValidationError("lifetime task needs intensity_w_m2 or a depth key")
     est = lifetime_estimate(species, omega_l, intensity, n)
@@ -550,7 +547,7 @@ def _task_table_one(cfg, trap, species, seed):
     if explicit is not None and len(explicit) != len(TABLE_ONE_N):
         raise ValidationError("waists_um must list one waist per N in (5,10,20,30)")
     omega_l = _laser_omega(trap)
-    kappa = stark_coefficient(species, omega_l)
+    stark_coefficient(species, omega_l)  # a resonant laser fails the task, not each N
     columns = {}
     warnings = []
     for idx, n in enumerate(TABLE_ONE_N):
@@ -564,8 +561,8 @@ def _task_table_one(cfg, trap, species, seed):
             trap_w = trap.with_waist(w0)
             alpha = find_alpha_tr(eq, trap_w, species).alpha_tr
             depth = depth_for_aspect(trap_w, species, alpha)
-            intensity = depth / kappa
-            power = intensity * math.pi**2 * w0**2 / (2.0 * trap.optical.finesse)
+            intensity = intensity_for_depth(species, omega_l, depth)
+            power = power_for_intensity(intensity, trap.optical.finesse, w0)
             gamma_off, _ = scattering_rates(species, omega_l, intensity)
             columns[n] = [
                 str(n),

@@ -3,8 +3,9 @@
 Everything downstream works in SI internally. This module holds the CODATA
 constants, the atomic-line data for the trapped species, the static (DC
 quadrupole) and optical (cavity standing wave) trap parameters, and the
-single-ion closed forms: circulating intensity from input power, AC Stark
-trap depth, and the effective harmonic frequencies at the trap center.
+single-ion closed forms: circulating intensity from input power and AC Stark
+trap depth from intensity (each with its inverse), and the effective
+harmonic frequencies at the trap center.
 """
 
 import json
@@ -238,6 +239,16 @@ def intensity_from_power(p_in, finesse, w0):
     return 2.0 * finesse * p_in / (math.pi**2 * w0**2)
 
 
+def power_for_intensity(i_max, finesse, w0):
+    """Input power giving peak circulating intensity i_max; inverts
+    intensity_from_power."""
+    if w0 <= 0 or finesse <= 0:
+        raise DomainError("waist and finesse must be positive")
+    if i_max < 0:
+        raise DomainError("intensity must be nonnegative")
+    return i_max * math.pi**2 * w0**2 / (2.0 * finesse)
+
+
 def _check_off_resonant(species, omega_l):
     for n, line in enumerate(species.lines):
         wa = line.transition_angular_frequency
@@ -274,6 +285,13 @@ def trap_depth(species, laser_angular_frequency, i_max):
     if i_max < 0:
         raise DomainError("intensity must be nonnegative")
     return stark_coefficient(species, laser_angular_frequency) * i_max
+
+
+def intensity_for_depth(species, laser_angular_frequency, depth):
+    """Peak intensity whose AC Stark shift is depth (J); inverts trap_depth."""
+    if depth < 0:
+        raise DomainError("trap depth is a magnitude, must be >= 0")
+    return depth / stark_coefficient(species, laser_angular_frequency)
 
 
 def effective_frequencies(trap, species):

@@ -10,8 +10,9 @@ with A the Coulomb z block and c_i > 0 the per-ion lattice curvature per
 unit depth, and U(alpha) = U0 + alpha^2 U1 is linear in alpha^2
 (core.depth_for_aspect). M is positive definite exactly when
 alpha^2 > lambda_max(m omega_z_dc^2 I - A - U0 diag(c), U1 diag(c)), and
-because diag(c) is diagonal that generalized eigenvalue is one symmetric
-eigensolve of the pencil scaled by 1 / sqrt(U1 c_i). An ion the beam
+because diag(c) is diagonal that generalized eigenvalue is the top
+eigenvalue of the pencil scaled by 1 / sqrt(U1 c_i), read from one LAPACK
+subset solve that finds only that end of the spectrum. An ion the beam
 does not reach at double precision (c_i <= eps max c) leaves no finite
 answer, and find_alpha_tr raises BracketError.
 
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import ANTINODE_COS2, depth_for_aspect
 from .equilibrium import _coulomb_z, _xy, find_equilibria
@@ -45,10 +47,19 @@ class PowerLawFit:
     residual: float  # RMS in log space
 
 
+def _top_eigenvalue(m):
+    """Largest eigenvalue of the symmetric m (lower triangle), which it overwrites."""
+    n = len(m)
+    return scipy.linalg.eigvalsh(
+        m, subset_by_index=(n - 1, n - 1), overwrite_a=True, check_finite=False
+    )[0]
+
+
 def find_alpha_tr(eq, trap, species):
-    """Transition aspect ratio of one EquilibriumResult from one eigensolve."""
+    """Transition aspect ratio of one EquilibriumResult from one top-eigenvalue solve."""
     xy = eq.xy
-    if len(xy) == 1:
+    n = len(xy)
+    if n == 1:
         return TransitionPoint(1, 0.0, eq.stability, math.inf)
     curv = optical_z_curvature(xy, trap.optical)
     if curv.min() <= np.finfo(float).eps * curv.max():
@@ -58,13 +69,15 @@ def find_alpha_tr(eq, trap, species):
         )
     u0 = depth_for_aspect(trap, species, 0.0)
     u1 = depth_for_aspect(trap, species, 1.0) - u0
-    lhs = -_coulomb_z(eq)
-    lhs[np.diag_indices(len(xy))] += species.mass * trap.omega_z_dc**2 - u0 * curv
+    lhs = -_coulomb_z(eq)  # a fresh buffer, scaled in place and handed to LAPACK
+    lhs.flat[::n + 1] += species.mass * trap.omega_z_dc**2 - u0 * curv
     scale = 1.0 / np.sqrt(u1 * curv)
-    alpha_sq = np.linalg.eigvalsh(scale[:, None] * lhs * scale[None, :])[-1]
+    lhs *= scale[:, None]
+    lhs *= scale
+    alpha_sq = _top_eigenvalue(lhs)
     alpha = math.sqrt(max(alpha_sq, 0.0))  # <= 0: the plane holds at alpha = 0
     return TransitionPoint(
-        n_ions=len(xy),
+        n_ions=n,
         alpha_tr=alpha,
         stability=eq.stability,
         w0_over_rmax=trap.optical.waist / eq.r_max if eq.r_max > 0 else math.inf,
@@ -73,11 +86,9 @@ def find_alpha_tr(eq, trap, species):
 
 def alpha_tr_uniform(eq, trap, species):
     """Closed-form transition point in the uniform-waist (large w0) limit."""
-    xy = _xy(eq)
-    if len(xy) == 1:
+    if len(_xy(eq)) == 1:
         return 0.0
-    a_over_m = _coulomb_z(eq) / species.mass
-    lam_max = np.linalg.eigvalsh(-a_over_m)[-1]
+    lam_max = _top_eigenvalue(_coulomb_z(eq) / -species.mass)
     return math.sqrt(lam_max) / trap.omega_r
 
 

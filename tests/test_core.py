@@ -106,6 +106,45 @@ def test_intensity_from_power():
         cv.intensity_from_power(-1.0, 3000.0, 21e-6)
 
 
+@pytest.mark.parametrize("finesse", [1.0, 3000.0, 1.7e5])
+@pytest.mark.parametrize("w0", [3.3e-6, 21e-6, 1e-3])
+def test_power_for_intensity_inverts_intensity_from_power(finesse, w0):
+    for i_max in (0.0, 1.16e12, 3.7e9, 8.9e14):
+        p_in = cv.power_for_intensity(i_max, finesse, w0)
+        assert cv.intensity_from_power(p_in, finesse, w0) == pytest.approx(i_max, rel=1e-15)
+    for p_in in (0.31, 4.2e-3, 17.0):
+        i_max = cv.intensity_from_power(p_in, finesse, w0)
+        assert cv.power_for_intensity(i_max, finesse, w0) == pytest.approx(p_in, rel=1e-15)
+
+
+def test_power_for_intensity_domain():
+    for i_max, finesse, w0 in ((1e12, 3000.0, 0.0), (1e12, 3000.0, -21e-6),
+                               (1e12, 0.0, 21e-6), (1e12, -1.0, 21e-6),
+                               (-1.0, 3000.0, 21e-6)):
+        with pytest.raises(cv.DomainError):
+            cv.power_for_intensity(i_max, finesse, w0)
+
+
+@pytest.mark.parametrize("wavelength", [532e-9, 1064e-9, 1560e-9])
+def test_intensity_for_depth_inverts_trap_depth(species, wavelength):
+    omega_l = 2.0 * math.pi * cv.CONST.speed_of_light / wavelength
+    for i_max in (0.0, 1.16e12, 3.7e9, 8.9e14):
+        depth = cv.trap_depth(species, omega_l, i_max)
+        assert cv.intensity_for_depth(species, omega_l, depth) == pytest.approx(
+            i_max, rel=1e-15)
+    for depth_mk in (0.05, 1.0, 430.0):
+        depth = depth_mk * 1e-3 * cv.CONST.boltzmann
+        i_max = cv.intensity_for_depth(species, omega_l, depth)
+        assert cv.trap_depth(species, omega_l, i_max) == pytest.approx(depth, rel=1e-15)
+
+
+def test_intensity_for_depth_domain(species):
+    with pytest.raises(cv.DomainError):
+        cv.intensity_for_depth(species, OMEGA_1064, -1e-27)
+    with pytest.raises(cv.DomainError):
+        cv.intensity_for_depth(species, -1.0, 1e-27)
+
+
 def test_trap_depth_is_linear_in_intensity(species):
     d1 = cv.trap_depth(species, OMEGA_1064, 1e12)
     d2 = cv.trap_depth(species, OMEGA_1064, 2e12)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cavitrap as cv
 from cavitrap.modes import normal_modes, out_of_plane_lowest
@@ -45,6 +46,74 @@ def test_alpha_tr_brackets_soft_mode_sign(crystal, w0, alpha_min, variant,
         )
         _, imag = out_of_plane_lowest(normal_modes(eq, deep, species))
         assert imag == should_buckle
+
+
+@pytest.fixture(scope="module")
+def oracle_crystals(bare_trap_100, species):
+    return {n: cv.find_equilibria(n, bare_trap_100, species, n_restarts=2, seed=0)[0]
+            for n in (2, 10, 30, 120)}
+
+
+def _pencil(eq, trap, species):
+    """(L, B) with alpha_tr^2 = lambda_max(L, B), written out afresh:
+    L = m omega_z_dc^2 I - A - U0 diag(c) and B = U1 diag(c)."""
+    curv = cv.optical_z_curvature(eq.xy, trap.optical)
+    u0 = cv.depth_for_aspect(trap, species, 0.0)
+    u1 = cv.depth_for_aspect(trap, species, 1.0) - u0
+    lhs = np.diag(species.mass * trap.omega_z_dc**2 - u0 * curv) - cv.coulomb_z_block(eq.xy)
+    return lhs, u1 * curv
+
+
+@pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
+@pytest.mark.parametrize("n", [2, 10, 30, 120])
+def test_alpha_tr_matches_full_spectrum_and_generalized_pencil(n, variant, oracle_crystals,
+                                                              species):
+    """The one-end solve gives the top of the full spectrum of the same
+    scaled pencil, and the generalized pencil's largest eigenvalue."""
+    eq = oracle_crystals[n]
+    for factor in (1.5, 3.0, 6.0, 20.0):
+        trap = cv.make_trap(OMEGA_R, cv.OpticalTrapConfig(
+            1064e-9, factor * eq.r_max, 0.0, variant))
+        alpha = cv.find_alpha_tr(eq, trap, species).alpha_tr
+        assert alpha > 0
+        lhs, b = _pencil(eq, trap, species)
+        scale = 1.0 / np.sqrt(b)
+        full = np.linalg.eigvalsh(scale[:, None] * lhs * scale[None, :])[-1]
+        assert alpha == pytest.approx(math.sqrt(full), rel=1e-13)
+        general = scipy.linalg.eigh(lhs, np.diag(b), eigvals_only=True)[-1]
+        assert alpha == pytest.approx(math.sqrt(general), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 10, 30, 120])
+def test_alpha_tr_uniform_matches_full_spectrum(n, oracle_crystals, bare_trap_100, species):
+    eq = oracle_crystals[n]
+    lam = np.linalg.eigvalsh(-cv.coulomb_z_block(eq.xy) / species.mass)[-1]
+    assert cv.alpha_tr_uniform(eq, bare_trap_100, species) == pytest.approx(
+        math.sqrt(lam) / bare_trap_100.omega_r, rel=1e-13)
+
+
+def test_transition_solves_one_end_only(oracle_crystals, bare_trap_100, species, monkeypatch):
+    """Both transition points ask LAPACK for the top eigenvalue only and
+    leave the crystal's kept z block as it was."""
+    eq = oracle_crystals[30]
+    kept = np.array(eq._z_block)
+    subsets = []
+    subset_solve = scipy.linalg.eigvalsh
+
+    def one_end(m, **kwargs):
+        subsets.append(kwargs.get("subset_by_index"))
+        return subset_solve(m, **kwargs)
+
+    def full_spectrum(*args, **kwargs):
+        raise AssertionError("full-spectrum eigensolve")
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", one_end)
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, full_spectrum)
+    trap = bare_trap_100.with_waist(3.0 * eq.r_max)
+    cv.find_alpha_tr(eq, trap, species)
+    cv.alpha_tr_uniform(eq, trap, species)
+    assert subsets == [(29, 29), (29, 29)]
+    assert np.array_equal(eq._z_block, kept)
 
 
 def test_single_ion_never_buckles(bare_trap_21, species):
