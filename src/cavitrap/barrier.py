@@ -28,7 +28,7 @@ otherwise), so the walk ends at the same minimum in the start's frame.
 
 barrier_pair walks its paths in min(n_paths, CPUs) forked worker
 processes, the same map the equilibrium search runs its restarts on.
-Path k draws only from its own SeedSequence(seed, spawn_key=(k,)) stream,
+Path k draws only from its own stream, equilibrium._stream(seed, k),
 so the paths and bounds are bitwise the same for any number of workers.
 """
 
@@ -42,10 +42,10 @@ from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 from .core import CONST
 from .equilibrium import (
-    EquilibriumResult,
     _best_assignment,
     _check_seed,
     _in_workers,
+    _stream,
     _xy,
     align_configurations,
 )
@@ -247,9 +247,7 @@ def optimize_path(x0, xf, params, trap, species, path_index=0):
     d = params.d if params.d is not None else dist / 20.0
     eps = params.epsilon if params.epsilon is not None else 2.5 * d
     resolved = replace(params, d=d, epsilon=eps)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(path_index,))
-    )
+    rng = _stream(params.seed, path_index)
 
     x = start.copy()
     energy = planar_energy(x, trap, species)
@@ -294,11 +292,7 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     walk = partial(optimize_path, eq_start, target, params, trap, species)
     paths = _in_workers(walk, params.n_paths)
     bound, best = barrier_upper_bound(paths)
-    e_other = (
-        eq_other.energy
-        if isinstance(eq_other, EquilibriumResult)
-        else planar_energy(_xy(eq_other), trap, species)
-    )
+    e_other = planar_energy(_xy(eq_other), trap, species)
     return {
         "paths": paths,
         "best_path": best,

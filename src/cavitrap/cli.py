@@ -208,7 +208,7 @@ def _csv(header, rows):
 
 
 def _json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fmt(x):
@@ -293,7 +293,7 @@ def _task_equilibrate(cfg, trap, species, seed):
             config_index=i, stability=eq.stability, energy_j=eq.energy,
             ring_configuration=list(eq.ring_configuration),
             ring_ambiguous=eq.ring_ambiguous,
-            r_max_m=eq.r_max, d_min_m=eq.d_min,
+            r_max_m=eq.r_max, d_min_m=eq.d_min if eq.n_ions > 1 else None,
             n_found_duplicates=eq.n_found_duplicates,
         ))
         if eq.ring_ambiguous:
@@ -489,6 +489,8 @@ def _task_lifetime(cfg, trap, species, seed):
         pressure, temperature, gas.polarizability, gas.mass, species
     )
     e_rec, heat = recoil_heating(trap.optical.wavelength, species, est.gamma_off)
+    warnings = (["tau_s is infinite (no metastable scattering); written as null"]
+                if math.isinf(est.tau) else [])
 
     return [("lifetime.json", _json(
         dict(
@@ -496,7 +498,7 @@ def _task_lifetime(cfg, trap, species, seed):
             gamma_off_per_s=est.gamma_off,
             gamma_meta_per_s=est.gamma_meta,
             n_ions=n,
-            tau_s=est.tau,
+            tau_s=None if math.isinf(est.tau) else est.tau,
             langevin_rate_per_s=collision,
             langevin_rate_per_hour=collision * 3600.0,
             recoil_energy_j=e_rec,
@@ -506,7 +508,7 @@ def _task_lifetime(cfg, trap, species, seed):
             gas=gas.label,
             temperature_k=temperature,
         ),
-    ))], []
+    ))], warnings
 
 
 TABLE_ONE_N = (5, 10, 20, 30)

@@ -11,7 +11,7 @@ harmonic frequencies at the trap center.
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import AntiTrappedError, DomainError, ResonanceError, ValidationError
@@ -249,7 +249,12 @@ def power_for_intensity(i_max, finesse, w0):
     return i_max * math.pi**2 * w0**2 / (2.0 * finesse)
 
 
-def _check_off_resonant(species, omega_l):
+def _line_factors(species, omega_l):
+    """(weight, omega_a, Gamma / (omega_a - omega_l) + Gamma / (omega_a + omega_l))
+    of each line; ResonanceError names the first line within RESONANCE_BAND."""
+    if omega_l <= 0:
+        raise DomainError("laser frequency must be positive")
+    factors = []
     for n, line in enumerate(species.lines):
         wa = line.transition_angular_frequency
         if abs(wa - omega_l) < RESONANCE_BAND * wa:
@@ -257,6 +262,9 @@ def _check_off_resonant(species, omega_l):
                 f"laser frequency within {RESONANCE_BAND:g} of line {n} "
                 f"({wa / (2 * math.pi):.4e} Hz)"
             )
+        ga = line.natural_linewidth
+        factors.append((line.weight, wa, ga / (wa - omega_l) + ga / (wa + omega_l)))
+    return factors
 
 
 def stark_coefficient(species, omega_l):
@@ -266,16 +274,10 @@ def stark_coefficient(species, omega_l):
     weights, keeping the counter-rotating term) plus the quasi-static
     polarizability offset.
     """
-    if omega_l <= 0:
-        raise DomainError("laser frequency must be positive")
-    _check_off_resonant(species, omega_l)
     c = CONST.speed_of_light
     total = 0.0
-    for line in species.lines:
-        wa = line.transition_angular_frequency
-        ga = line.natural_linewidth
-        dispersion = ga / (wa - omega_l) + ga / (wa + omega_l)
-        total += line.weight * (3.0 * math.pi * c**2 / (2.0 * wa**3)) * dispersion
+    for weight, wa, dispersion in _line_factors(species, omega_l):
+        total += weight * (3.0 * math.pi * c**2 / (2.0 * wa**3)) * dispersion
     total += species.polarizability_offset / (2.0 * CONST.vacuum_permittivity * c)
     return abs(total)
 

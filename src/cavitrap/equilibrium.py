@@ -302,9 +302,14 @@ def _relax(x, trap, species):
     return UNCONVERGED, x, e, gnorm
 
 
+def _stream(seed, index):
+    """Task index's own random generator under seed, whatever the worker count."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 def _one_restart(n_ions, trap, species, seed, index):
     """_relax from restart index's start, uniform in a disc of radius 1.5 ell sqrt(N)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    rng = _stream(seed, index)
     radius = 1.5 * characteristic_length(species, trap.omega_r) * math.sqrt(n_ions)
     r = radius * np.sqrt(rng.random(n_ions))
     phi = 2.0 * math.pi * rng.random(n_ions)
@@ -390,12 +395,9 @@ def find_equilibria(n_ions, trap, species, n_restarts=50, seed=0):
             r_max, d_min = crystal_metrics(pts)
         else:
             r_max, d_min = 0.0, math.nan
-        coords = np.zeros(3 * n_ions)
-        coords[0::3] = pts[:, 0]
-        coords[1::3] = pts[:, 1]
         results.append(
             EquilibriumResult(
-                positions=coords,
+                positions=np.column_stack([pts, np.zeros(n_ions)]).ravel(),
                 energy=float(e),
                 stability=STABLE if rank == 0 else METASTABLE,
                 ring_configuration=rings,

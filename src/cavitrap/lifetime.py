@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import CONST, _check_off_resonant
+from .core import CONST, _line_factors
 from .errors import DomainError, ValidationError
 
 
@@ -67,17 +67,11 @@ def scattering_rates(species, omega_l, intensity):
     """
     if intensity < 0:
         raise DomainError("intensity must be nonnegative")
-    if omega_l <= 0:
-        raise DomainError("laser frequency must be positive")
-    _check_off_resonant(species, omega_l)
     c = CONST.speed_of_light
     gamma_off = 0.0
-    for line in species.lines:
-        wa = line.transition_angular_frequency
-        ga = line.natural_linewidth
-        dispersion = ga / (wa - omega_l) + ga / (wa + omega_l)
+    for weight, wa, dispersion in _line_factors(species, omega_l):
         gamma_off += (
-            line.weight
+            weight
             * (3.0 * math.pi * c**2 / (2.0 * CONST.hbar * wa**3))
             * (omega_l / wa) ** 3
             * dispersion**2

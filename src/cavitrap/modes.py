@@ -9,7 +9,9 @@ eigenvalues are omega^2 directly and eigenvectors stay orthonormal.
 Out-of-plane modes get semantic labels by projecting onto the polynomial
 basis {1, x, y, xy} evaluated at the ion positions: uniform motion is the
 center-of-mass mode, linear patterns are the two tilts, and the bilinear
-pattern is the saddle mode.
+pattern is the saddle mode. The basis is orthonormalised by modified
+Gram-Schmidt; a pattern the positions cannot carry (with one ion, two, or
+x y = 0 at every ion) is a zero column and labels no mode.
 """
 
 from dataclasses import dataclass, replace
@@ -61,6 +63,12 @@ class ModeSpectrum:
         return self.vectors[2::3, mode_index]
 
 
+def _descending_eigh(a):
+    """Eigenpairs of the symmetric a, largest eigenvalue first."""
+    w, v = np.linalg.eigh(a)
+    return w[::-1], v[:, ::-1]
+
+
 def normal_modes(eq, trap, species):
     """Eigendecomposition of the mass-weighted Hessian at a planar equilibrium."""
     xy = _xy(eq)
@@ -72,13 +80,8 @@ def normal_modes(eq, trap, species):
         trap.optical.depth * optical_z_curvature(xy, trap.optical) / m
         - trap.omega_z_dc**2
     )
-    w2_z, vec_z = np.linalg.eigh(z_block)
-    order = np.argsort(w2_z)[::-1]
-    w2_z, vec_z = w2_z[order], vec_z[:, order]
-
-    w2_xy, vec_xy = np.linalg.eigh(planar_hessian(xy.ravel(), trap, species) / m)
-    order = np.argsort(w2_xy)[::-1]
-    w2_xy, vec_xy = w2_xy[order], vec_xy[:, order]
+    w2_z, vec_z = _descending_eigh(z_block)
+    w2_xy, vec_xy = _descending_eigh(planar_hessian(xy.ravel(), trap, species) / m)
 
     vectors = np.zeros((3 * n, 3 * n))
     vectors[2::3, :n] = vec_z
@@ -101,35 +104,43 @@ def out_of_plane_lowest(spectrum):
     return spectrum.omega[softest], bool(spectrum.imaginary[softest])
 
 
+def _gram_schmidt(columns, floor_sq, q, count=0):
+    """Modified Gram-Schmidt of the vectors in columns into q, whose first count
+    columns are orthonormal. Vector j, less its projections on the columns
+    taken so far, is normalised into the next column if its squared norm
+    exceeds floor_sq[j], else dropped. Stops once q is full or its columns
+    span the space; returns the indices taken."""
+    taken, full = [], min(q.shape)
+    for j, v in enumerate(columns):
+        if count == full:
+            break
+        for i in range(count):
+            v = v - q[:, i].dot(v) * q[:, i]
+        weight = v.dot(v)
+        if weight > floor_sq[j]:
+            q[:, count] = v / np.sqrt(weight)
+            taken.append(j)
+            count += 1
+    return taken
+
+
+# a remainder within this fraction of its vector's norm is rounding noise
+_INDEPENDENCE_RTOL = 1e-8
+
+
 def _label_basis(xy):
-    """Orthonormal columns spanning {1, x, y, xy} at the ion positions."""
+    """Orthonormal columns of {1, x, y, xy} at the ion positions, zero for a
+    pattern the earlier ones span at those positions."""
     x, y = xy[:, 0], xy[:, 1]
     raw = np.column_stack([np.ones(len(xy)), x, y, x * y])
-    basis = np.empty_like(raw)
-    for j in range(raw.shape[1]):
-        v = raw[:, j].copy()
-        for i in range(j):
-            v -= (basis[:, i] @ v) * basis[:, i]
-        basis[:, j] = v / np.linalg.norm(v)
+    q = np.zeros_like(raw)
+    taken = _gram_schmidt(raw.T, _INDEPENDENCE_RTOL**2 * np.sum(raw * raw, axis=0), q)
+    basis = np.zeros_like(raw)
+    basis[:, taken] = q[:, :len(taken)]
     return basis
 
 
 _BASIS_LABELS = (LABEL_COM, LABEL_TILT_X, LABEL_TILT_Y, LABEL_SADDLE)
-
-
-def _complete_orthonormal(rows, dim):
-    """Extend k orthonormal rows to a full (dim, dim) orthonormal matrix."""
-    out = list(rows)
-    for cand in np.eye(dim):
-        if len(out) == dim:
-            break
-        v = cand.copy()
-        for t in out:
-            v -= (t @ v) * t
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            out.append(v / norm)
-    return np.array(out)
 
 
 def label_modes(spectrum, eq):
@@ -154,27 +165,21 @@ def label_modes(spectrum, eq):
         else:
             groups.append([i])
 
+    patterns = list(basis.T)
+    overlap_floor = (LABEL_OVERLAP_THRESHOLD,) * len(patterns)
     labels = [None] * spectrum.n_modes
     for group in groups:
         sub = np.column_stack([vecs[2::3, i] for i in group])
-        taken = []
-        assigned = {}
-        for b_col, name in zip(basis.T, _BASIS_LABELS):
-            coeff = sub.T @ b_col
-            for t in taken:
-                coeff -= (t @ coeff) * t
-            weight = coeff @ coeff
-            if weight > LABEL_OVERLAP_THRESHOLD and len(taken) < len(group):
-                coeff /= np.sqrt(weight)
-                assigned[len(taken)] = name
-                taken.append(coeff)
+        rot = np.zeros((len(group), len(group)))
         # with nothing taken no mode of the group is labelled either: a single
         # mode's overlap with a basis vector is at most the group's weight
+        taken = _gram_schmidt([sub.T @ b for b in patterns], overlap_floor, rot)
         if taken:
-            rot = _complete_orthonormal(np.array(taken), len(group))
-            vecs[2::3, group] = sub @ rot.T
+            _gram_schmidt(np.eye(len(group)), (_INDEPENDENCE_RTOL**2,) * len(group),
+                          rot, len(taken))
+            vecs[2::3, group] = sub @ rot
         for slot, i in enumerate(group):
-            labels[i] = assigned.get(slot, LABEL_OTHER)
+            labels[i] = _BASIS_LABELS[taken[slot]] if slot < len(taken) else LABEL_OTHER
     return replace(spectrum, vectors=vecs, labels=tuple(labels))
 
 

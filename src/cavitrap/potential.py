@@ -22,7 +22,6 @@ antinode_cos2 (so the antinode well is the sin^2 lattice minus a plain
 Gaussian well, and one set of derivative formulas covers both).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,11 +211,11 @@ def hessian(coords, trap, species):
 # S = -s0 and the envelope to exp(-2 rho^2 / w0^2).
 
 
-def _planar_optical(pts2, optical):
-    """(per-ion optical energy, dU/drho2 factor) on the z = 0 plane."""
+def _planar_optical(x, y, optical):
+    """(per-ion optical energy, w0^2) at plane x, y of any shape; None if dark."""
     if optical.lattice_variant != ANTINODE_COS2 or optical.depth == 0.0:
         return None
-    rho2 = pts2[:, 0] ** 2 + pts2[:, 1] ** 2
+    rho2 = x**2 + y**2
     q = optical.waist**2
     u = -optical.depth * np.exp(-2.0 * rho2 / q)
     return u, q
@@ -235,7 +234,7 @@ def planar_energy_gradient(xy, trap, species):
     )
     grad[:, 0] += m * trap.omega_x_dc**2 * pts[:, 0]
     grad[:, 1] += m * trap.omega_y_dc**2 * pts[:, 1]
-    planar_opt = _planar_optical(pts, trap.optical)
+    planar_opt = _planar_optical(pts[:, 0], pts[:, 1], trap.optical)
     if planar_opt is not None:
         u, q = planar_opt
         e += np.sum(u)
@@ -266,10 +265,9 @@ def planar_energy_batch(xy_batch, trap, species):
     e = CONST.coulomb_coefficient * inv_r
     m = species.mass
     e += 0.5 * m * np.sum(trap.omega_x_dc**2 * x**2 + trap.omega_y_dc**2 * y**2, axis=1)
-    opt = trap.optical
-    if opt.lattice_variant == ANTINODE_COS2 and opt.depth != 0.0:
-        rho2 = x**2 + y**2
-        e -= opt.depth * np.sum(np.exp(-2.0 * rho2 / opt.waist**2), axis=1)
+    planar_opt = _planar_optical(x, y, trap.optical)
+    if planar_opt is not None:
+        e += np.sum(planar_opt[0], axis=1)
     return e
 
 
@@ -286,10 +284,10 @@ def planar_hessian(xy, trap, species):
     d = 2 * np.arange(len(pts))
     hess[d, d] += m * trap.omega_x_dc**2
     hess[d + 1, d + 1] += m * trap.omega_y_dc**2
-    planar_opt = _planar_optical(pts, trap.optical)
+    x, y = pts[:, 0], pts[:, 1]
+    planar_opt = _planar_optical(x, y, trap.optical)
     if planar_opt is not None:
         u, q = planar_opt
-        x, y = pts[:, 0], pts[:, 1]
         hess[d, d] += (-4.0 * u / q) * (1.0 - 4.0 * x**2 / q)
         hess[d + 1, d + 1] += (-4.0 * u / q) * (1.0 - 4.0 * y**2 / q)
         off = u * 16.0 * x * y / q**2

@@ -21,6 +21,7 @@ from .core import CONST
 from .errors import DomainError, FitError, ResonanceError
 from .modes import OUT_OF_PLANE
 from .equilibrium import _pair_r
+from .transition import _log_log_fit
 
 RESONANCE_TOL_FACTOR = 1e-3
 
@@ -122,10 +123,8 @@ def fit_beta(graph, eq):
     n_distinct = 1 + np.count_nonzero(gaps)
     if n_distinct < 3:
         raise FitError("need at least 3 distinct pair distances")
-    design = np.column_stack([np.log(r), np.ones(len(r))])
-    coef, *_ = np.linalg.lstsq(design, np.log(j_abs), rcond=None)
-    resid = design @ coef - np.log(j_abs)
-    return -float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+    slope, _, residual = _log_log_fit(r, j_abs)
+    return -slope, residual
 
 
 def beta_sweep(spectrum, eq, mu_values, drive_template):

@@ -92,6 +92,15 @@ def alpha_tr_uniform(eq, trap, species):
     return math.sqrt(lam_max) / trap.omega_r
 
 
+def _log_log_fit(x, y):
+    """Least squares of ln y on ln x over positive arrays:
+    (slope, intercept, RMS residual in log space)."""
+    design = np.column_stack([np.log(x), np.ones(len(x))])
+    coef, *_ = np.linalg.lstsq(design, np.log(y), rcond=None)
+    resid = design @ coef - np.log(y)
+    return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2)))
+
+
 def fit_power_law(points):
     """Least squares of ln(alpha_tr) on ln(N); returns PowerLawFit."""
     pts = [(n, a) for n, a in points]
@@ -101,14 +110,8 @@ def fit_power_law(points):
     alpha = np.array([p[1] for p in pts], dtype=float)
     if np.any(n <= 0) or np.any(alpha <= 0):
         raise FitError("power-law fit needs positive N and alpha")
-    design = np.column_stack([np.log(n), np.ones(len(n))])
-    coef, *_ = np.linalg.lstsq(design, np.log(alpha), rcond=None)
-    resid = design @ coef - np.log(alpha)
-    return PowerLawFit(
-        prefactor=float(np.exp(coef[1])),
-        exponent=float(coef[0]),
-        residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    exponent, intercept, residual = _log_log_fit(n, alpha)
+    return PowerLawFit(float(np.exp(intercept)), exponent, residual)
 
 
 def transition_scan(n_values, trap, species, n_restarts=12, seed=0):
@@ -125,19 +128,15 @@ def waist_sweep(n_ions, trap, species, w0_values, n_restarts=12, seed=0):
 
     Returns a list of (w0, TransitionPoint or None, error message or None).
     For the node_sin2 lattice the planar equilibrium is waist independent
-    (the plane is dark), so it is solved once and reused.
+    (the plane is dark), so it is solved once, at the first waist whose
+    search succeeds, and reused.
     """
     records = []
-    shared_eq = None
-    if trap.optical.lattice_variant != ANTINODE_COS2:
-        shared_eq = find_equilibria(
-            n_ions, trap, species, n_restarts=n_restarts, seed=seed
-        )[0]
+    eq = None
     for w0 in w0_values:
         trap_w = trap.with_waist(w0)
         try:
-            eq = shared_eq
-            if eq is None:
+            if eq is None or trap.optical.lattice_variant == ANTINODE_COS2:
                 eq = find_equilibria(
                     n_ions, trap_w, species, n_restarts=n_restarts, seed=seed
                 )[0]

@@ -21,6 +21,23 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def read_strict_json(path):
+    """JSON as the standard has it: NaN and Infinity are not JSON."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def run_module(args, cwd):
+    """cavitrap.cli in a fresh interpreter; the child does not inherit
+    pytest's pythonpath setting or its warning filters."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cavitrap.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
 @pytest.fixture(scope="module")
 def equilibrate_run(tmp_path_factory):
     """One 10-ion equilibrate run shared by the inspection tests."""
@@ -348,6 +365,38 @@ def test_lifetime_payload(tmp_path):
     assert payload["gas"] == "H2"
 
 
+def test_single_ion_equilibrate_writes_null_spacing(tmp_path):
+    """One ion has no pair, so no minimum spacing: null in JSON, nan in CSV."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=1, n_restarts=2)
+    out = tmp_path / "out"
+    assert cli.main(["equilibrate", "--config", cfg, "--out", str(out)]) == 0
+    (entry,) = read_strict_json(out / "equilibria.json")
+    assert entry["d_min_m"] is None and entry["r_max_m"] == 0.0
+    assert read_csv(out / "equilibria_summary.csv")[1][5] == "nan"
+
+
+def test_lifetime_without_light_writes_null_tau(tmp_path):
+    """No light, no metastable scattering: tau is infinite, written as null."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=10, intensity_w_m2=0.0)
+    out = tmp_path / "out"
+    assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
+    payload = read_strict_json(out / "lifetime.json")
+    assert payload["tau_s"] is None and payload["gamma_meta_per_s"] == 0.0
+    assert read_strict_json(out / "manifest.json")["warnings"] == [
+        "tau_s is infinite (no metastable scattering); written as null"
+    ]
+
+
+def test_single_ion_modes_writes_no_warning(tmp_path):
+    """The label basis of one ion is the uniform pattern alone; nothing is 0/0."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=1, n_restarts=2)
+    out = tmp_path / "out"
+    proc = run_module(["modes", "--config", cfg, "--out", str(out)], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert read_csv(out / "modes.csv")[1][4] == "com"
+
+
 def test_finesse_doubling_doubles_intensity(tmp_path):
     intensities = []
     for finesse in (3000.0, 6000.0):
@@ -428,15 +477,7 @@ def test_console_script_smoke(tmp_path):
         waist_um=100.0, n_restarts=4,
     )
     out = tmp_path / "out"
-    # the child does not inherit pytest's pythonpath setting
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cavitrap.cli", "equilibrate",
-         "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module(["equilibrate", "--config", cfg, "--out", str(out)], tmp_path)
     assert proc.returncode == 0
     assert "equilibria_summary.csv" in proc.stdout
     assert (out / "manifest.json").exists()

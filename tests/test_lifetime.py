@@ -58,6 +58,32 @@ def test_scattering_rate_against_line_sum(species):
     assert 1.0 < g < 10.0
 
 
+def test_one_line_species_closed_forms():
+    """A two-level ion: the Stark shift and the scattering rate of its one line."""
+    wa, ga = 2.0 * math.pi * sc.c / 369.5e-9, 2.0 * math.pi * 19.6e6
+    one_line = cv.IonSpecies(mass=171 * sc.atomic_mass, lines=(cv.AtomicLine(wa, ga),),
+                             branch_ratio_meta=0.005, metastable_lifetime=0.05)
+    wl, intensity = OMEGA_1064, 1.16e12
+    disp = ga / (wa - wl) + ga / (wa + wl)
+    assert cv.stark_coefficient(one_line, wl) == pytest.approx(
+        3.0 * math.pi * sc.c**2 / (2.0 * wa**3) * disp, rel=1e-12)
+    gamma_off, gamma_meta = cv.scattering_rates(one_line, wl, intensity)
+    assert gamma_off == pytest.approx(
+        3.0 * math.pi * sc.c**2 / (2.0 * sc.hbar * wa**3) * (wl / wa) ** 3
+        * disp**2 * intensity, rel=1e-12)
+    assert gamma_meta == pytest.approx(0.005 * gamma_off, rel=1e-15)
+
+
+def test_resonance_error_names_the_line(species):
+    """Both rules name the index of the line the laser sits on."""
+    for n, line in enumerate(species.lines):
+        wa = line.transition_angular_frequency
+        with pytest.raises(cv.ResonanceError, match=f"of line {n} "):
+            cv.stark_coefficient(species, wa)
+        with pytest.raises(cv.ResonanceError, match=f"of line {n} "):
+            cv.scattering_rates(species, wa, 1e12)
+
+
 def test_scattering_validation(species):
     with pytest.raises(cv.DomainError):
         cv.scattering_rates(species, OMEGA_1064, -1.0)

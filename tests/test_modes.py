@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import cavitrap as cv
-from cavitrap.modes import LABEL_COM, LABEL_OTHER, LABEL_TILT_X, LABEL_TILT_Y
+from cavitrap.modes import (
+    LABEL_COM,
+    LABEL_OTHER,
+    LABEL_SADDLE,
+    LABEL_TILT_X,
+    LABEL_TILT_Y,
+    _gram_schmidt,
+)
 
 OMEGA_R = 2.0 * math.pi * 0.5e6
 
@@ -167,3 +174,58 @@ def test_label_other_for_high_order_patterns(trapped_10, species):
     oop = spec.select(cv.OUT_OF_PLANE)
     labels = [spec.labels[m] for m in oop]
     assert LABEL_OTHER in labels  # ten z modes, only four named patterns
+
+
+def _labelled(spec):
+    return sorted(spec.labels[m] for m in spec.select(cv.OUT_OF_PLANE)
+                  if spec.labels[m] != LABEL_OTHER)
+
+
+@pytest.mark.parametrize("n, allowed", [
+    (1, [[LABEL_COM]]),
+    (2, [[LABEL_COM, LABEL_TILT_X], [LABEL_COM, LABEL_TILT_Y]]),
+    (3, [[LABEL_COM, LABEL_TILT_X, LABEL_TILT_Y]]),
+])
+def test_small_crystals_label_only_the_patterns_they_carry(n, allowed, species, bare_trap_100):
+    """One ion carries only uniform motion, two a tilt along their axis, and
+    three no x y pattern; runtime warnings are errors under the test suite."""
+    trap = bare_trap_100.with_depth(cv.depth_for_aspect(bare_trap_100, species, 4.0))
+    eq = cv.find_equilibria(n, bare_trap_100, species, n_restarts=4, seed=0)[0]
+    spec = cv.label_modes(cv.normal_modes(eq, trap, species), eq)
+    assert _labelled(spec) in allowed
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(3 * n)).max() < 1e-12
+
+
+def test_square_on_the_axes_has_no_saddle(species, bare_trap_100):
+    """x y = 0 at every ion of a square with its corners on the axes."""
+    a = 5e-6
+    xy = np.array([[a, 0.0], [0.0, a], [-a, 0.0], [0.0, -a]])
+    trap = bare_trap_100.with_depth(cv.depth_for_aspect(bare_trap_100, species, 4.0))
+    spec = cv.label_modes(cv.normal_modes(xy, trap, species), xy)
+    assert _labelled(spec) == [LABEL_COM, LABEL_TILT_X, LABEL_TILT_Y]
+    assert LABEL_SADDLE not in spec.labels
+
+
+@pytest.mark.parametrize("dim, k", [(5, 3), (30, 4), (300, 4)])
+def test_gram_schmidt_matches_qr(dim, k):
+    a = np.random.default_rng(dim).normal(size=(dim, k))
+    q = np.zeros_like(a)
+    assert _gram_schmidt(a.T, np.full(k, 1e-16) * np.sum(a * a, axis=0), q) == list(range(k))
+    assert np.abs(q.T @ q - np.eye(k)).max() < 1e-14
+    ref, _ = np.linalg.qr(a)
+    signs = np.sign(np.sum(q * ref, axis=0))  # each column is fixed up to sign
+    assert np.abs(q - ref * signs).max() < 1e-13
+
+
+def test_gram_schmidt_leaves_dependent_columns_zero():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(6, 4))
+    a[:, 2] = a[:, 0] - 2.0 * a[:, 1]
+    q = np.zeros_like(a)
+    assert _gram_schmidt(a.T, np.full(4, 1e-16) * np.sum(a * a, axis=0), q) == [0, 1, 3]
+    assert np.all(q[:, 3] == 0.0)
+    # a full space takes no more: three columns span three dimensions
+    wide = rng.normal(size=(3, 5))
+    q = np.zeros_like(wide)
+    assert _gram_schmidt(wide.T, np.zeros(5), q) == [0, 1, 2]
+    assert np.all(q[:, 3:] == 0.0)

@@ -161,6 +161,20 @@ def test_fit_beta_synthetic_cube_law():
     assert resid < 1e-10
 
 
+def test_fit_beta_matches_polyfit():
+    rng = np.random.default_rng(8)
+    xy = rng.normal(size=(9, 2)) * 1e-6
+    iu = np.triu_indices(9, 1)
+    r = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)[iu]
+    j = np.zeros((9, 9))
+    j[iu] = rng.choice([-1.0, 1.0], len(r)) * r**-1.3 * np.exp(0.2 * rng.normal(size=len(r)))
+    beta, resid = cv.fit_beta(cv.SpinGraph(j=j + j.T, af_fraction=0.5), xy)
+    slope, intercept = np.polyfit(np.log(r), np.log(np.abs(j[iu])), 1)
+    rms = np.sqrt(np.mean((slope * np.log(r) + intercept - np.log(np.abs(j[iu]))) ** 2))
+    assert beta == pytest.approx(-slope, rel=1e-12)
+    assert resid == pytest.approx(rms, rel=1e-12)
+
+
 def test_fit_beta_errors(spin_setup):
     eq, _ = spin_setup
     graph = cv.SpinGraph(j=np.zeros((4, 4)), af_fraction=0.0)

@@ -164,6 +164,18 @@ def test_fit_power_law_exact():
     assert fit.residual < 1e-12
 
 
+def test_fit_power_law_matches_polyfit():
+    rng = np.random.default_rng(4)
+    n = np.arange(5, 125, 7)
+    alpha = 2.3 * n**0.265 * np.exp(0.05 * rng.normal(size=len(n)))
+    fit = cv.fit_power_law(zip(n.tolist(), alpha.tolist()))
+    slope, intercept = np.polyfit(np.log(n), np.log(alpha), 1)
+    resid = slope * np.log(n) + intercept - np.log(alpha)
+    assert fit.exponent == pytest.approx(slope, rel=1e-12)
+    assert fit.prefactor == pytest.approx(math.exp(intercept), rel=1e-12)
+    assert fit.residual == pytest.approx(np.sqrt(np.mean(resid**2)), rel=1e-12)
+
+
 def test_fit_power_law_errors():
     with pytest.raises(cv.FitError):
         cv.fit_power_law([(10, 1.0), (20, 1.2)])
