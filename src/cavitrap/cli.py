@@ -220,10 +220,7 @@ def _build_trap(cfg, species):
     """TrapConfig from laboratory-unit config keys.
 
     omega_x_mhz and omega_y_mhz, if either is given, are both required and
-    replace omega_r_mhz and anisotropy. Optical depth resolves from the first present of depth_mk,
-    omega_z_mhz (inverted through the axial curvature relation),
-    intensity_w_m2, power_w; default is zero depth. power_w is checked
-    whenever it is present.
+    replace omega_r_mhz and anisotropy. The optical depth is _optical_depth's.
     """
     if cfg.read("omega_x_mhz") is None and cfg.read("omega_y_mhz") is None:
         omega_x = cfg.read("omega_r_mhz") * MHZ
@@ -239,23 +236,30 @@ def _build_trap(cfg, species):
         lattice_variant=cfg.read("lattice_variant"),
         finesse=cfg.read("finesse"),
     )
-    power = cfg.read("power_w")
     trap = TrapConfig(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
+    return trap.with_depth(_optical_depth(cfg, trap, species)[0])
 
+
+def _optical_depth(cfg, trap, species):
+    """(depth, intensity) from the first present of depth_mk, omega_z_mhz
+    (inverted through the axial curvature relation), intensity_w_m2,
+    power_w; default is zero depth. intensity is the one intensity_w_m2 or
+    power_w gave, None when neither set the depth. power_w is checked
+    whenever it is present.
+    """
+    power = cfg.read("power_w")
     if cfg.read("depth_mk") is not None:
-        depth = cfg.read("depth_mk") * 1e-3 * CONST.boltzmann
-    elif cfg.read("omega_z_mhz") is not None:
-        depth = depth_for_aspect(
-            trap, species, cfg.read("omega_z_mhz") * MHZ / trap.omega_r
-        )
-    elif cfg.read("intensity_w_m2") is not None or power is not None:
-        intensity = cfg.read("intensity_w_m2")
-        if intensity is None:
-            intensity = intensity_from_power(power, optical.finesse, optical.waist)
-        depth = trap_depth(species, _laser_omega(trap), intensity)
-    else:
-        depth = 0.0
-    return trap.with_depth(depth)
+        return cfg.read("depth_mk") * 1e-3 * CONST.boltzmann, None
+    if cfg.read("omega_z_mhz") is not None:
+        alpha = cfg.read("omega_z_mhz") * MHZ / trap.omega_r
+        return depth_for_aspect(trap, species, alpha), None
+    intensity = cfg.read("intensity_w_m2")
+    if intensity is None and power is not None:
+        optical = trap.optical
+        intensity = intensity_from_power(power, optical.finesse, optical.waist)
+    if intensity is None:
+        return 0.0, None
+    return trap_depth(species, _laser_omega(trap), intensity), intensity
 
 
 def _equilibria(n, cfg, trap, species, seed):
@@ -475,7 +479,11 @@ def _task_spin(cfg, trap, species, seed):
 def _task_lifetime(cfg, trap, species, seed):
     n = cfg.read("n_ions")
     omega_l = _laser_omega(trap)
+    # intensity_w_m2 first, then the depth keys in _optical_depth's order;
+    # only a depth from depth_mk or omega_z_mhz is inverted to an intensity
     intensity = cfg.read("intensity_w_m2")
+    if intensity is None:
+        intensity = _optical_depth(cfg, trap, species)[1]
     if intensity is None and trap.optical.depth > 0:
         intensity = intensity_for_depth(species, omega_l, trap.optical.depth)
     elif intensity is None:

@@ -25,6 +25,7 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import cdist
 
 from .core import CONST, characteristic_length
 from .errors import ConvergenceError, DomainError
@@ -134,20 +135,6 @@ def _pair_r(config):
     return r[np.triu_indices(len(xy), 1)]
 
 
-def _square_distance(ax, ay, bx, by):
-    """(ax - bx)**2 + (ay - by)**2, broadcast.
-
-    Bitwise equal to np.sum(d**2, axis=-1) over a length-2 (x, y) axis,
-    without that slow tiny-axis reduction.
-    """
-    dx = ax - bx
-    dy = ay - by
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
-
-
 def _best_assignment(reference, candidates):
     """The first candidate nearest `reference` under its optimal relabeling.
 
@@ -156,10 +143,9 @@ def _best_assignment(reference, candidates):
     and the first one of smallest rms distance wins. Returns (its index,
     the relabeling, the rms); candidate[relabeling] is the matched copy.
     """
-    rx, ry = reference[:, 0, None], reference[:, 1, None]
     best_rms, best_k, best_cols = math.inf, None, None
     for k, cand in enumerate(candidates):
-        cost = _square_distance(rx, ry, cand[:, 0], cand[:, 1])
+        cost = cdist(reference, cand, "sqeuclidean")
         rows, cols = linear_sum_assignment(cost)
         rms = math.sqrt(cost[rows, cols].mean())
         if rms < best_rms:
@@ -194,14 +180,13 @@ def align_configurations(reference, other):
     cands = (np.stack([oth, oth @ flip])[:, None] @ rot_t).reshape(-1, len(ref), 2)
     k, perm, rms = _best_assignment(ref, cands)
 
-    rx, ry = ref[:, 0, None], ref[:, 1, None]
     aligned = cands[k][perm]
     for _ in range(10):
         # orthogonal Procrustes (reflections allowed, the trap has O(2) symmetry)
         u, _, vt = np.linalg.svd(aligned.T @ ref)
         rot = u @ vt
         aligned = aligned @ rot
-        cost = _square_distance(rx, ry, aligned[:, 0], aligned[:, 1])
+        cost = cdist(ref, aligned, "sqeuclidean")
         rows, cols = linear_sum_assignment(cost)
         new_rms = math.sqrt(cost[rows, cols].mean())
         aligned = aligned[cols]

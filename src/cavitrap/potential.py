@@ -2,8 +2,10 @@
 
 Energy, analytic gradient, and analytic Hessian in full 3D coordinates
 (flat layout x1, y1, z1, x2, ...), plus fast planar (z = 0) variants used
-by the equilibrium search and the barrier walks. Finite differences are
-deliberately absent here; they live in the test suite as oracles.
+by the equilibrium search and the barrier walks. Each 3D function is a
+Coulomb pair pass plus one read of the shared per-ion DC and optical
+kernel `_single_ion_terms`; they are the reference for the planar ones.
+Finite differences live in the test suite as oracles, not here.
 
 All Coulomb terms share one pair pass in per-axis form: `_pair_distances`
 gives one contiguous (N, N) difference matrix per coordinate and the
@@ -102,106 +104,75 @@ def _coulomb_hessian(d, r):
     return hess.reshape(dim * n, dim * n)
 
 
-def _lattice_terms(z, optical):
-    """Per-ion lattice quantities: q = w(z)^2 and the axial profile S, S', S''."""
-    w0 = optical.waist
-    zr = optical.rayleigh_range
-    k = optical.lattice_wavenumber
-    q = w0**2 * (1.0 + (z / zr) ** 2)
-    s0 = 1.0 if optical.lattice_variant == ANTINODE_COS2 else 0.0
+def _single_ion_terms(pts, trap, species):
+    """Per-ion DC and optical terms of (N, 3) points.
+
+    Returns (DC energy per ion, optical energy per ion, (N, 3) gradient,
+    (N, 3, 3) Hessian blocks); the gradient and the blocks sum both terms.
+    With p = U A E, u = p S, f = -4 / w(z)^2 (so d ln E/dx = f x) and
+    g = d ln(A E)/dz, the optical gradient is u f (x, y) in the plane and
+    p (g S + S') along z.
+    """
+    omega_sq = np.array([trap.omega_x_dc, trap.omega_y_dc, trap.omega_z_dc]) ** 2
+    spring = species.mass * omega_sq * [1.0, 1.0, -1.0]  # the DC field defocuses z
+    grad = spring * pts  # the DC gradient; the optical one is added below
+    e_dc = 0.5 * (grad * pts).sum(axis=1)
+    blocks = np.zeros((len(pts), 3, 3)) + np.diag(spring)
+
+    opt = trap.optical
+    k = opt.lattice_wavenumber
+    xy, z = pts[:, :2], pts[:, 2]
+    qpp = 2.0 * opt.waist**2 / opt.rayleigh_range**2  # q = w(z)^2 = w0^2 + qpp z^2 / 2
+    q = opt.waist**2 + 0.5 * qpp * z**2
+    qp = qpp * z
+    s0 = 1.0 if opt.lattice_variant == ANTINODE_COS2 else 0.0
     s = np.sin(k * z) ** 2 - s0
     sp = k * np.sin(2.0 * k * z)
     spp = 2.0 * k**2 * np.cos(2.0 * k * z)
-    return q, s, sp, spp
+    rho2 = xy[:, 0] ** 2 + xy[:, 1] ** 2
+    p = opt.depth * (opt.waist**2 / q) * np.exp(-2.0 * rho2 / q)
+    u = p * s
+    f = -4.0 / q
+    g = (qp / q) * (2.0 * rho2 / q - 1.0)
+    g_z = (qpp * q - qp**2) / q**2 * (2.0 * rho2 / q - 1.0) - 2.0 * rho2 * qp**2 / q**3
+
+    grad[:, :2] += (u * f)[:, None] * xy
+    grad[:, 2] += p * (g * s + sp)
+    # u_ab = u f (delta_ab + f a b) in the plane; x*y == y*x keeps it symmetric
+    outer = xy[:, :, None] * xy[:, None, :]
+    blocks[:, :2, :2] += (u * f)[:, None, None] * (np.eye(2) + f[:, None, None] * outer)
+    mixed = (f * p * (g * s + sp - s * qp / q))[:, None] * xy
+    blocks[:, :2, 2] += mixed
+    blocks[:, 2, :2] += mixed
+    blocks[:, 2, 2] += p * ((g**2 + g_z) * s + 2.0 * g * sp + spp)
+    return e_dc, u, grad, blocks
 
 
 def total_energy(coords, trap, species):
     """EnergyBreakdown of the three potential terms at the given 3N coordinates."""
     pts = _as_points(coords, 3)
     _, r = _pair_distances(pts)
-    kq = CONST.coulomb_coefficient
-    e_coulomb = 0.5 * kq * np.sum(1.0 / r)
-
-    m = species.mass
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    e_dc = 0.5 * m * np.sum(
-        trap.omega_x_dc**2 * x**2
-        + trap.omega_y_dc**2 * y**2
-        - trap.omega_z_dc**2 * z**2
-    )
-
-    opt = trap.optical
-    q, s, _, _ = _lattice_terms(z, opt)
-    rho2 = x**2 + y**2
-    envelope = (opt.waist**2 / q) * np.exp(-2.0 * rho2 / q)
-    e_opt = opt.depth * np.sum(envelope * s)
-    return EnergyBreakdown(coulomb=float(e_coulomb), dc=float(e_dc), optical=float(e_opt))
+    e_coulomb = 0.5 * CONST.coulomb_coefficient * np.sum(1.0 / r)
+    e_dc, e_opt, _, _ = _single_ion_terms(pts, trap, species)
+    return EnergyBreakdown(float(e_coulomb), float(e_dc.sum()), float(e_opt.sum()))
 
 
 def gradient(coords, trap, species):
     """Analytic gradient of the total potential, flat 3N vector in J/m."""
     pts = _as_points(coords, 3)
-    d, r = _pair_distances(pts)
-    grad = _coulomb_gradient(d, r)
-
-    m = species.mass
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    grad[:, 0] += m * trap.omega_x_dc**2 * x
-    grad[:, 1] += m * trap.omega_y_dc**2 * y
-    grad[:, 2] -= m * trap.omega_z_dc**2 * z
-
-    opt = trap.optical
-    q, s, sp, _ = _lattice_terms(z, opt)
-    rho2 = x**2 + y**2
-    p = opt.depth * (opt.waist**2 / q) * np.exp(-2.0 * rho2 / q)
-    qp = 2.0 * opt.waist**2 * z / opt.rayleigh_range**2
-    g = (qp / q) * (2.0 * rho2 / q - 1.0)
-    grad[:, 0] += p * s * (-4.0 * x / q)
-    grad[:, 1] += p * s * (-4.0 * y / q)
-    grad[:, 2] += p * (g * s + sp)
+    grad = _coulomb_gradient(*_pair_distances(pts))
+    grad += _single_ion_terms(pts, trap, species)[2]
     return grad.ravel()
 
 
 def hessian(coords, trap, species):
     """Analytic Hessian of the total potential, (3N, 3N) in J/m^2."""
     pts = _as_points(coords, 3)
-    n = len(pts)
     hess = _coulomb_hessian(*_pair_distances(pts))
-
-    m = species.mass
-    dc_diag = np.tile(
-        [m * trap.omega_x_dc**2, m * trap.omega_y_dc**2, -m * trap.omega_z_dc**2], n
-    )
-    hess[np.arange(3 * n), np.arange(3 * n)] += dc_diag
-
-    opt = trap.optical
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    q, s, sp, spp = _lattice_terms(z, opt)
-    rho2 = x**2 + y**2
-    p = opt.depth * (opt.waist**2 / q) * np.exp(-2.0 * rho2 / q)
-    w0 = opt.waist
-    zr = opt.rayleigh_range
-    qp = 2.0 * w0**2 * z / zr**2
-    qpp = 2.0 * w0**2 / zr**2
-    g = (qp / q) * (2.0 * rho2 / q - 1.0)
-    g_z = (qpp * q - qp**2) / q**2 * (2.0 * rho2 / q - 1.0) - 2.0 * rho2 * qp**2 / q**3
-
-    u_xx = p * s * (-4.0 / q) * (1.0 - 4.0 * x**2 / q)
-    u_yy = p * s * (-4.0 / q) * (1.0 - 4.0 * y**2 / q)
-    u_xy = p * s * 16.0 * x * y / q**2
-    u_xz = (-4.0 * x / q) * p * (g * s + sp - s * qp / q)
-    u_yz = (-4.0 * y / q) * p * (g * s + sp - s * qp / q)
-    u_zz = p * ((g**2 + g_z) * s + 2.0 * g * sp + spp)
-    d = 3 * np.arange(n)
-    hess[d, d] += u_xx
-    hess[d + 1, d + 1] += u_yy
-    hess[d + 2, d + 2] += u_zz
-    hess[d, d + 1] += u_xy
-    hess[d + 1, d] += u_xy
-    hess[d, d + 2] += u_xz
-    hess[d + 2, d] += u_xz
-    hess[d + 1, d + 2] += u_yz
-    hess[d + 2, d + 1] += u_yz
+    n = len(pts)
+    ion = np.arange(n)
+    blocks = hess.reshape(n, 3, n, 3)  # a view: blocks[i, :, i, :] is ion i's 3x3
+    blocks[ion, :, ion, :] += _single_ion_terms(pts, trap, species)[3]
     return hess
 
 
@@ -306,8 +277,7 @@ def coulomb_z_block(xy):
     pts = _as_points(xy, 2)
     _, r = _pair_distances(pts)
     kq = CONST.coulomb_coefficient
-    a = kq / r**3
-    np.fill_diagonal(a, 0.0)
+    a = kq / r**3  # 0 on the diagonal, where r is +inf
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
 

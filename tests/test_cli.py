@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cavitrap import cli
+from cavitrap.core import CONST, intensity_for_depth, intensity_from_power
 
 
 def write_config(path, **kwargs):
@@ -363,6 +365,35 @@ def test_lifetime_payload(tmp_path):
     assert payload["langevin_rate_per_hour"] == pytest.approx(1.284, abs=2e-3)
     assert payload["non_langevin_heating_bound_k_per_s"] == 1e-4
     assert payload["gas"] == "H2"
+
+
+def test_lifetime_reports_the_intensity_of_power_w(tmp_path):
+    """At 0.139 W into the default cavity the intensity, turned into a depth
+    and back, lands one ulp off; the lifetime reports the intensity itself.
+    No power is no light, as intensity_w_m2 = 0 is."""
+    waist = 100.0 * 1e-6  # as the CLI turns waist_um into metres
+    for power in (0.139, 0.0):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=10, power_w=power)
+        out = tmp_path / f"out_{power}"
+        assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
+        payload = read_strict_json(out / "lifetime.json")
+        assert payload["intensity_w_m2"] == intensity_from_power(power, 3000.0, waist)
+    assert payload["tau_s"] is None
+
+
+def test_lifetime_inverts_a_depth_key_and_intensity_key_wins(tmp_path, species):
+    """depth_mk is turned into an intensity; intensity_w_m2, when also
+    given, is the one reported, as it always was."""
+    # the depth and laser frequency as the CLI forms them from its keys
+    depth = 0.5 * 1e-3 * CONST.boltzmann
+    omega_l = 2.0 * math.pi * CONST.speed_of_light / (1064.0 * 1e-9)
+    reported = []
+    for extra in ({}, {"intensity_w_m2": 1.16e12}):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=10, depth_mk=0.5, **extra)
+        out = tmp_path / f"out_{len(reported)}"
+        assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
+        reported.append(read_strict_json(out / "lifetime.json")["intensity_w_m2"])
+    assert reported == [intensity_for_depth(species, omega_l, depth), 1.16e12]
 
 
 def test_single_ion_equilibrate_writes_null_spacing(tmp_path):

@@ -47,6 +47,8 @@ CONFIGS = {
                                 w0_values_um=[15.0, 21.0, 30.0, 60.0]),
     "lifetime-intensity": dict(task="lifetime", n_ions=10, intensity_w_m2=1.16e12),
     "lifetime-power": dict(task="lifetime", n_ions=10, power_w=0.31, waist_um=21.0),
+    "lifetime-depth": dict(task="lifetime", n_ions=10, depth_mk=0.5, waist_um=21.0),
+    "lifetime-omega-z": dict(task="lifetime", n_ions=10, omega_z_mhz=2.0, waist_um=21.0),
 }
 
 
