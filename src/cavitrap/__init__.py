@@ -6,9 +6,30 @@ for crystals confined radially by DC electrodes and axially by the AC Stark
 shift of an intracavity standing wave.
 """
 
+import os
+import sys
+import warnings
+
+# BLAS runs on one thread unless the environment says otherwise: the search
+# makes many small BLAS calls, which extra threads only slow down, and the
+# thread count can change the last bits of an eigensolve, so the data files
+# of a (config, seed) are byte-identical only at a fixed count. OpenBLAS and
+# OpenMP read their pool sizes once, when numpy loads, so this runs before
+# any submodule imports numpy; forked workers inherit the pool size.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(var in os.environ for var in _THREAD_VARS):
+    warnings.warn(
+        "numpy was imported before cavitrap with OPENBLAS_NUM_THREADS unset, so "
+        "BLAS may run on several threads, which is slower and can change the "
+        "data files; import cavitrap before numpy, or set OPENBLAS_NUM_THREADS=1",
+        UserWarning,
+    )
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
-from .core import (
+from .core import (  # noqa: E402
     CONST,
     ANTINODE_COS2,
     NODE_SIN2,
@@ -29,7 +50,7 @@ from .core import (
     trap_depth,
     yb171,
 )
-from .errors import (
+from .errors import (  # noqa: E402
     AntiTrappedError,
     BracketError,
     CavitrapError,
@@ -41,7 +62,7 @@ from .errors import (
     SingularConfigurationError,
     ValidationError,
 )
-from .potential import (
+from .potential import (  # noqa: E402
     EnergyBreakdown,
     coulomb_z_block,
     gradient,
@@ -54,7 +75,7 @@ from .potential import (
     planar_hessian,
     total_energy,
 )
-from .equilibrium import (
+from .equilibrium import (  # noqa: E402
     METASTABLE,
     STABLE,
     EquilibriumResult,
@@ -63,7 +84,7 @@ from .equilibrium import (
     find_equilibria,
     ring_configuration,
 )
-from .modes import (
+from .modes import (  # noqa: E402
     IN_PLANE,
     OUT_OF_PLANE,
     ModeSpectrum,
@@ -72,7 +93,7 @@ from .modes import (
     normal_modes,
     out_of_plane_lowest,
 )
-from .transition import (
+from .transition import (  # noqa: E402
     PowerLawFit,
     TransitionPoint,
     alpha_tr_uniform,
@@ -81,7 +102,7 @@ from .transition import (
     transition_scan,
     waist_sweep,
 )
-from .barrier import (
+from .barrier import (  # noqa: E402
     BarrierPath,
     BarrierWalkParams,
     barrier_pair,
@@ -89,7 +110,7 @@ from .barrier import (
     optimize_path,
     propose_step,
 )
-from .spin import (
+from .spin import (  # noqa: E402
     SpinDriveConfig,
     SpinGraph,
     beta_sweep,
@@ -97,7 +118,7 @@ from .spin import (
     fit_beta,
     uniform_drive,
 )
-from .lifetime import (
+from .lifetime import (  # noqa: E402
     NON_LANGEVIN_HEATING_BOUND,
     GasSpecies,
     LifetimeEstimate,

@@ -4,7 +4,9 @@ Config keys carry unit suffixes (omega_r_mhz, waist_um, t_p_mk, ...) so a
 config file is unambiguous without consulting docs. Every output file is
 written atomically (temp file then rename) and a manifest.json records the
 config hash, code version, wall time, output list, and warnings. Identical
-(config, seed) pairs produce byte-identical data files.
+(config, seed) pairs produce byte-identical data files on one BLAS thread,
+which the package sets unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is exported.
 
 Exit codes: 0 success; 2 a command-line usage error, an unreadable or
 unparseable config, or any other OSError; 3 a ValidationError or
@@ -480,14 +482,15 @@ def _task_lifetime(cfg, trap, species, seed):
     n = cfg.read("n_ions")
     omega_l = _laser_omega(trap)
     # intensity_w_m2 first, then the depth keys in _optical_depth's order;
-    # only a depth from depth_mk or omega_z_mhz is inverted to an intensity
+    # only a depth from depth_mk or omega_z_mhz is inverted to an intensity,
+    # a zero depth to zero intensity
     intensity = cfg.read("intensity_w_m2")
     if intensity is None:
         intensity = _optical_depth(cfg, trap, species)[1]
-    if intensity is None and trap.optical.depth > 0:
+    if intensity is None:
+        if cfg.read("depth_mk") is None and cfg.read("omega_z_mhz") is None:
+            raise ValidationError("lifetime task needs intensity_w_m2 or a depth key")
         intensity = intensity_for_depth(species, omega_l, trap.optical.depth)
-    elif intensity is None:
-        raise ValidationError("lifetime task needs intensity_w_m2 or a depth key")
     est = lifetime_estimate(species, omega_l, intensity, n)
 
     gas = load_gas(cfg.read("gas"))

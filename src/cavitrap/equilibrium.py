@@ -313,7 +313,8 @@ def _cpu_count():
 def _in_workers(fn, count):
     """[fn(0), ..., fn(count - 1)] from min(count, CPUs) forked worker
     processes. The error of the lowest failing index is raised, and no
-    worker outlives the call.
+    worker outlives the call. The workers inherit the caller's BLAS pool
+    size, one thread unless the environment set another.
 
     The calls run in the caller, one by one, for one worker, on a platform
     without fork, or beside other threads: a forked child gets only the

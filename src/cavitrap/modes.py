@@ -143,6 +143,13 @@ def _label_basis(xy):
 _BASIS_LABELS = (LABEL_COM, LABEL_TILT_X, LABEL_TILT_Y, LABEL_SADDLE)
 
 
+def _overlaps(sub, b):
+    """sub.T @ b as a plain sum of products down each column. A BLAS
+    matrix-vector product can round differently with where sub lies in
+    memory; this sum's order is fixed by the shape alone."""
+    return (sub * b[:, None]).sum(axis=0)
+
+
 def label_modes(spectrum, eq):
     """Attach COM/tilt/saddle labels to the out-of-plane modes.
 
@@ -173,7 +180,7 @@ def label_modes(spectrum, eq):
         rot = np.zeros((len(group), len(group)))
         # with nothing taken no mode of the group is labelled either: a single
         # mode's overlap with a basis vector is at most the group's weight
-        taken = _gram_schmidt([sub.T @ b for b in patterns], overlap_floor, rot)
+        taken = _gram_schmidt([_overlaps(sub, b) for b in patterns], overlap_floor, rot)
         if taken:
             _gram_schmidt(np.eye(len(group)), (_INDEPENDENCE_RTOL**2,) * len(group),
                           rot, len(taken))

@@ -1,15 +1,11 @@
 import math
 import multiprocessing
-import os
 
 import pytest
 
-# the search makes many small BLAS calls, which extra BLAS threads only slow
-# down; set before numpy loads, and an explicit environment still wins
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import cavitrap as cv  # noqa: E402
+# cavitrap sets its one-thread BLAS default before it imports numpy, so it
+# comes before any module that loads numpy
+import cavitrap as cv
 
 OMEGA_R = 2.0 * math.pi * 0.5e6
 

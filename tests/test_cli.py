@@ -418,6 +418,20 @@ def test_lifetime_without_light_writes_null_tau(tmp_path):
     ]
 
 
+def test_lifetime_zero_depth_is_no_light(tmp_path):
+    """A zero depth_mk writes what a zero intensity writes; only a config
+    with no light key at all exits 3."""
+    written = []
+    for key in ("intensity_w_m2", "depth_mk"):
+        cfg = write_config(tmp_path / "cfg.json", n_ions=10, **{key: 0.0})
+        out = tmp_path / key
+        assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
+        written.append(((out / "lifetime.json").read_bytes(),
+                        read_strict_json(out / "manifest.json")["warnings"]))
+    assert written[0] == written[1]
+    assert read_strict_json(tmp_path / "depth_mk" / "lifetime.json")["tau_s"] is None
+
+
 def test_single_ion_modes_writes_no_warning(tmp_path):
     """The label basis of one ion is the uniform pattern alone; nothing is 0/0."""
     cfg = write_config(tmp_path / "cfg.json", n_ions=1, n_restarts=2)

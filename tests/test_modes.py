@@ -11,6 +11,8 @@ from cavitrap.modes import (
     LABEL_TILT_X,
     LABEL_TILT_Y,
     _gram_schmidt,
+    _label_basis,
+    _overlaps,
 )
 
 OMEGA_R = 2.0 * math.pi * 0.5e6
@@ -229,3 +231,24 @@ def test_gram_schmidt_leaves_dependent_columns_zero():
     q = np.zeros_like(wide)
     assert _gram_schmidt(wide.T, np.zeros(5), q) == [0, 1, 2]
     assert np.all(q[:, 3:] == 0.0)
+
+
+def test_overlaps_do_not_depend_on_memory_placement(trapped_10, species):
+    """A group of modes and the label basis, copied to each 8-byte offset of
+    a 64-byte span, give the same overlap bits, equal to sub.T @ b to
+    rounding."""
+    eq, trap = trapped_10
+    spec = cv.normal_modes(eq, trap, species)
+    sub = np.column_stack([spec.vectors[2::3, i] for i in spec.select(cv.OUT_OF_PLANE)[1:3]])
+    basis = _label_basis(eq.positions.reshape(-1, 3)[:, :2])
+    versions = set()
+    for offset in range(8):
+        placed = []
+        for a in (sub, basis):
+            buf = np.empty(a.size + 8)
+            placed.append(buf[offset:offset + a.size].reshape(a.shape))
+            placed[-1][...] = a
+        overlaps = np.array([_overlaps(placed[0], b) for b in placed[1].T])
+        versions.add(overlaps.tobytes())
+    assert len(versions) == 1
+    assert np.abs(overlaps - basis.T @ sub).max() < 1e-15

@@ -15,7 +15,9 @@ cavitrap package is imported from the Python path, so
 
 import os
 
-# BLAS threads can change the last bits of an eigensolve; set before numpy loads
+# BLAS threads can change the last bits of an eigensolve. cavitrap defaults
+# to one thread but lets an exported value win; the digests must not follow
+# one, so force it here, before cavitrap and numpy load
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
