@@ -83,14 +83,13 @@ CONFIG_TABLE = {
     "output_dir": (TEXT, "."),
     "species_file": (TEXT, "yb171"),         # shipped species name or JSON path
     "omega_r_mhz": (NUMBER, 0.5),            # MHz, radial DC frequency / 2 pi
-    "omega_x_mhz": (NUMBER, None),           # MHz; given with omega_y_mhz, both
-    "omega_y_mhz": (NUMBER, None),           # replace omega_r_mhz and anisotropy
     "anisotropy": (NUMBER, 0.0),             # omega_y / omega_x - 1
     "wavelength_nm": (NUMBER, 1064.0),       # nm
     "waist_um": (NUMBER, 100.0),             # um
     "lattice_variant": (TEXT, "node_sin2"),  # node_sin2 | antinode_cos2
     "finesse": (NUMBER, 3000.0),
-    "depth_mk": (NUMBER, None),              # mK; optical depth, first of these four
+    # light keys: at most one of the next four (_LIGHT_KEYS)
+    "depth_mk": (NUMBER, None),              # mK, optical depth
     "omega_z_mhz": (NUMBER, None),           # MHz, axial frequency / 2 pi
     "intensity_w_m2": (NUMBER, None),        # W/m^2, intracavity intensity
     "power_w": (NUMBER, None),               # W, input power
@@ -104,6 +103,7 @@ CONFIG_TABLE = {
     "n_paths": (INTEGER, 10),
     "sdf_wavelength_nm": (NUMBER, 355.0),    # nm
     "rabi_khz": (NUMBER, 50.0),              # kHz
+    # drive keys: at most one of the next two
     "mu_mhz": (NUMBER, None),                # MHz, drive frequency / 2 pi
     "mu_over_max": (NUMBER, 1.002),          # mu / highest out-of-plane mode
     "mu_over_max_list": (NUMBERS, None),     # sweep of mu_over_max
@@ -219,18 +219,9 @@ def _fmt(x):
 
 
 def _build_trap(cfg, species):
-    """TrapConfig from laboratory-unit config keys.
-
-    omega_x_mhz and omega_y_mhz, if either is given, are both required and
-    replace omega_r_mhz and anisotropy. The optical depth is _optical_depth's.
-    """
-    if cfg.read("omega_x_mhz") is None and cfg.read("omega_y_mhz") is None:
-        omega_x = cfg.read("omega_r_mhz") * MHZ
-        omega_y = omega_x * (1.0 + cfg.read("anisotropy"))
-    else:
-        omega_x = cfg.read("omega_x_mhz", REQUIRED) * MHZ
-        omega_y = cfg.read("omega_y_mhz", REQUIRED) * MHZ
-
+    """TrapConfig from laboratory-unit config keys; the depth is _optical_depth's."""
+    omega_x = cfg.read("omega_r_mhz") * MHZ
+    omega_y = omega_x * (1.0 + cfg.read("anisotropy"))
     optical = OpticalTrapConfig(
         wavelength=cfg.read("wavelength_nm") * 1e-9,
         waist=cfg.read("waist_um") * 1e-6,
@@ -242,25 +233,32 @@ def _build_trap(cfg, species):
     return trap.with_depth(_optical_depth(cfg, trap, species)[0])
 
 
+_LIGHT_KEYS = ("depth_mk", "omega_z_mhz", "intensity_w_m2", "power_w")
+
+
+def _one_of(cfg, keys):
+    """The one of keys that cfg gives (a null counts as absent), or None."""
+    given = [key for key in keys if cfg.given.get(key) is not None]
+    if len(given) > 1:
+        raise ValidationError(f"config keys {given} are alternatives; give at most one")
+    return given[0] if given else None
+
+
 def _optical_depth(cfg, trap, species):
-    """(depth, intensity) from the first present of depth_mk, omega_z_mhz
-    (inverted through the axial curvature relation), intensity_w_m2,
-    power_w; default is zero depth. intensity is the one intensity_w_m2 or
-    power_w gave, None when neither set the depth. power_w is checked
-    whenever it is present.
-    """
-    power = cfg.read("power_w")
-    if cfg.read("depth_mk") is not None:
-        return cfg.read("depth_mk") * 1e-3 * CONST.boltzmann, None
-    if cfg.read("omega_z_mhz") is not None:
-        alpha = cfg.read("omega_z_mhz") * MHZ / trap.omega_r
-        return depth_for_aspect(trap, species, alpha), None
-    intensity = cfg.read("intensity_w_m2")
-    if intensity is None and power is not None:
-        optical = trap.optical
-        intensity = intensity_from_power(power, optical.finesse, optical.waist)
-    if intensity is None:
+    """(depth, intensity) from the one light key given, zero depth without one.
+    omega_z_mhz is inverted through the axial curvature relation; intensity
+    is the one intensity_w_m2 or power_w gave, else None."""
+    key = _one_of(cfg, _LIGHT_KEYS)
+    if key is None:
         return 0.0, None
+    value = cfg.read(key)
+    if key == "depth_mk":
+        return value * 1e-3 * CONST.boltzmann, None
+    if key == "omega_z_mhz":
+        return depth_for_aspect(trap, species, value * MHZ / trap.omega_r), None
+    intensity = value
+    if key == "power_w":
+        intensity = intensity_from_power(value, trap.optical.finesse, trap.optical.waist)
     return trap_depth(species, _laser_omega(trap), intensity), intensity
 
 
@@ -282,7 +280,7 @@ def _laser_omega(trap):
 
 def _task_equilibrate(cfg, trap, species, seed):
     eqs = _equilibria(cfg.read("n_ions"), cfg, trap, species, seed)
-    files, warnings = [], []
+    files = []
     summary_rows = []
     sidecar = []
     for i, eq in enumerate(eqs):
@@ -302,14 +300,15 @@ def _task_equilibrate(cfg, trap, species, seed):
             r_max_m=eq.r_max, d_min_m=eq.d_min if eq.n_ions > 1 else None,
             n_found_duplicates=eq.n_found_duplicates,
         ))
-        if eq.ring_ambiguous:
-            warnings.append(f"configuration {i}: ring clustering ambiguous")
     files.append(("equilibria_summary.csv", _csv(
         ["config_index", "stability", "energy_j", "ring_configuration",
          "r_max_m", "d_min_m", "n_found_duplicates"],
         summary_rows,
     )))
     files.append(("equilibria.json", _json(sidecar)))
+    ambiguous = [i for i, eq in enumerate(eqs) if eq.ring_ambiguous]
+    warnings = ([f"ring clustering ambiguous in {len(ambiguous)} of {len(eqs)} "
+                 f"configurations: {ambiguous}"] if ambiguous else [])
     return files, warnings
 
 
@@ -416,7 +415,6 @@ def _task_barrier(cfg, trap, species, seed):
             barrier_stable_mk=result["barrier_from_start"] * 1e3,
             barrier_metastable_mk=result["barrier_from_other"] * 1e3,
             peaks_j=result["peaks"],
-            n_converged=result["n_converged"],
             n_paths=params.n_paths,
         ),
     )))
@@ -431,7 +429,7 @@ def _task_spin(cfg, trap, species, seed):
 
     recoil = photon_recoil(cfg.read("sdf_wavelength_nm") * 1e-9, species)
     rabi = cfg.read("rabi_khz") * 2.0 * math.pi * 1e3
-    if cfg.read("mu_mhz") is not None:
+    if _one_of(cfg, ("mu_mhz", "mu_over_max")) == "mu_mhz":
         mu = cfg.read("mu_mhz") * MHZ
     else:
         mu = cfg.read("mu_over_max") * z_max
@@ -481,15 +479,10 @@ def _task_spin(cfg, trap, species, seed):
 def _task_lifetime(cfg, trap, species, seed):
     n = cfg.read("n_ions")
     omega_l = _laser_omega(trap)
-    # intensity_w_m2 first, then the depth keys in _optical_depth's order;
-    # only a depth from depth_mk or omega_z_mhz is inverted to an intensity,
-    # a zero depth to zero intensity
-    intensity = cfg.read("intensity_w_m2")
-    if intensity is None:
-        intensity = _optical_depth(cfg, trap, species)[1]
-    if intensity is None:
-        if cfg.read("depth_mk") is None and cfg.read("omega_z_mhz") is None:
-            raise ValidationError("lifetime task needs intensity_w_m2 or a depth key")
+    if _one_of(cfg, _LIGHT_KEYS) is None:
+        raise ValidationError(f"lifetime task needs one of {list(_LIGHT_KEYS)}")
+    intensity = _optical_depth(cfg, trap, species)[1]
+    if intensity is None:  # a depth key: invert the built trap's depth
         intensity = intensity_for_depth(species, omega_l, trap.optical.depth)
     est = lifetime_estimate(species, omega_l, intensity, n)
 
@@ -546,13 +539,16 @@ WAIST_RULE_TOL = 0.02
 
 
 def _select_waist(eq, trap, species):
+    """(the rule's w0, None), or (the grid's last w0, a warning) if none meets it."""
     asymptote = alpha_tr_uniform(eq, trap, species)
     for factor in WAIST_RULE_GRID:
         w0 = factor * eq.r_max
-        point = find_alpha_tr(eq, trap.with_waist(w0), species)
-        if point.alpha_tr <= (1.0 + WAIST_RULE_TOL) * asymptote:
-            return w0
-    return WAIST_RULE_GRID[-1] * eq.r_max
+        alpha = find_alpha_tr(eq, trap.with_waist(w0), species).alpha_tr
+        if alpha <= (1.0 + WAIST_RULE_TOL) * asymptote:
+            return w0, None
+    return w0, (f"N = {eq.n_ions}: no waist up to {factor:g} r_max brings alpha_tr "
+                f"within {WAIST_RULE_TOL:.0%} of the uniform-waist value; the table uses "
+                f"that waist, where alpha_tr is {alpha / asymptote - 1.0:.1%} above it")
 
 
 def _task_table_one(cfg, trap, species, seed):
@@ -566,11 +562,12 @@ def _task_table_one(cfg, trap, species, seed):
     for idx, n in enumerate(TABLE_ONE_N):
         try:
             eq = _equilibria(n, cfg, trap, species, seed)[0]
-            w0 = (
-                explicit[idx] * 1e-6
-                if explicit is not None
-                else _select_waist(eq, trap, species)
-            )
+            if explicit is not None:
+                w0 = explicit[idx] * 1e-6
+            else:
+                w0, shortfall = _select_waist(eq, trap, species)
+                if shortfall:
+                    warnings.append(shortfall)
             trap_w = trap.with_waist(w0)
             alpha = find_alpha_tr(eq, trap_w, species).alpha_tr
             depth = depth_for_aspect(trap_w, species, alpha)

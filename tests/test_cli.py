@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import cavitrap as cv
 from cavitrap import cli
 from cavitrap.core import CONST, intensity_for_depth, intensity_from_power
 
@@ -381,19 +383,102 @@ def test_lifetime_reports_the_intensity_of_power_w(tmp_path):
     assert payload["tau_s"] is None
 
 
-def test_lifetime_inverts_a_depth_key_and_intensity_key_wins(tmp_path, species):
-    """depth_mk is turned into an intensity; intensity_w_m2, when also
-    given, is the one reported, as it always was."""
+def test_lifetime_inverts_a_depth_key_and_intensity_key_wins(tmp_path, species, capsys):
+    """depth_mk is turned into an intensity; intensity_w_m2 given with it is
+    a second light key, which exits 3 instead of winning."""
     # the depth and laser frequency as the CLI forms them from its keys
     depth = 0.5 * 1e-3 * CONST.boltzmann
     omega_l = 2.0 * math.pi * CONST.speed_of_light / (1064.0 * 1e-9)
-    reported = []
-    for extra in ({}, {"intensity_w_m2": 1.16e12}):
-        cfg = write_config(tmp_path / "cfg.json", n_ions=10, depth_mk=0.5, **extra)
-        out = tmp_path / f"out_{len(reported)}"
-        assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
-        reported.append(read_strict_json(out / "lifetime.json")["intensity_w_m2"])
-    assert reported == [intensity_for_depth(species, omega_l, depth), 1.16e12]
+    cfg = write_config(tmp_path / "cfg.json", n_ions=10, depth_mk=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
+    reported = read_strict_json(out / "lifetime.json")["intensity_w_m2"]
+    assert reported == intensity_for_depth(species, omega_l, depth)
+
+    cfg = write_config(tmp_path / "cfg.json", n_ions=10, depth_mk=0.5,
+                       intensity_w_m2=1.16e12)
+    assert cli.main(["lifetime", "--config", cfg, "--out", str(tmp_path / "two")]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert "depth_mk" in diagnostic["message"]
+    assert "intensity_w_m2" in diagnostic["message"]
+    assert not (tmp_path / "two" / "lifetime.json").exists()
+
+
+LIGHT_VALUES = dict(depth_mk=0.5, omega_z_mhz=2.0, intensity_w_m2=1.16e12, power_w=0.31)
+
+
+@pytest.mark.parametrize("task, extra, keys", [
+    *(pytest.param("modes", {a: LIGHT_VALUES[a], b: LIGHT_VALUES[b]}, [a, b],
+                   id=f"{a}+{b}")
+      for a, b in itertools.combinations(LIGHT_VALUES, 2)),
+    pytest.param("lifetime", dict(LIGHT_VALUES), list(LIGHT_VALUES), id="all-light"),
+    pytest.param("spin", dict(omega_z_mhz=2.0, mu_mhz=1.0, mu_over_max=1.002),
+                 ["mu_mhz", "mu_over_max"], id="mu_mhz+mu_over_max"),
+    pytest.param("modes", dict(omega_x_mhz=0.5), ["omega_x_mhz"], id="omega_x_mhz"),
+])
+def test_exit_3_on_two_alternative_keys(tmp_path, capsys, task, extra, keys):
+    """Two keys of one group are an error naming both, not a silent choice;
+    omega_x_mhz is no longer a key at all."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=4, n_restarts=2, **extra)
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", cfg, "--out", str(out)]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert all(key in diagnostic["message"] for key in keys)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_one_alternative_key_with_the_others_null_runs(tmp_path):
+    """A null counts as absent, so one given key and nulls is one key."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=10, depth_mk=None,
+                       omega_z_mhz=None, power_w=None, intensity_w_m2=1.16e12)
+    out = tmp_path / "out"
+    assert cli.main(["lifetime", "--config", cfg, "--out", str(out)]) == 0
+    assert read_strict_json(out / "lifetime.json")["intensity_w_m2"] == 1.16e12
+
+
+def test_mu_mhz_sets_the_drive(tmp_path):
+    """mu_mhz alone sets the drive frequency that spin_summary.json reports."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=6, omega_z_mhz=2.0,
+                       n_restarts=4, mu_mhz=2.1)
+    out = tmp_path / "out"
+    assert cli.main(["spin", "--config", cfg, "--out", str(out)]) == 0
+    summary = read_strict_json(out / "spin_summary.json")
+    assert summary["mu_rad_per_s"] == 2.1 * cli.MHZ
+
+
+def test_waist_rule_warns_when_its_grid_ends(tmp_path, bare_trap_100, species):
+    """At N = 5 no grid waist brings alpha_tr within 2 % of the uniform-waist
+    value; the table uses the grid's end, 6 r_max, and the one manifest
+    warning gives N and the shortfall. N = 10, 20 and 30 meet the rule."""
+    cfg = write_config(tmp_path / "cfg.json", n_restarts=8, seed=0)
+    out = tmp_path / "out"
+    assert cli.main(["table-one", "--config", cfg, "--out", str(out)]) == 0
+    eq = cv.find_equilibria(5, bare_trap_100, species, n_restarts=8, seed=0)[0]
+    w0 = 6.0 * eq.r_max
+    alpha = cv.find_alpha_tr(eq, bare_trap_100.with_waist(w0), species).alpha_tr
+    excess = alpha / cv.alpha_tr_uniform(eq, bare_trap_100, species) - 1.0
+    assert excess > cli.WAIST_RULE_TOL
+    (warning,) = read_strict_json(out / "manifest.json")["warnings"]
+    assert warning.startswith("N = 5: ")
+    assert "up to 6 r_max" in warning and f"alpha_tr is {excess:.1%} above" in warning
+    rows = {row[0]: row[1:] for row in read_csv(out / "table1.csv")}
+    assert rows["Trapping beam waist w0 [um]"][0] == f"{w0 * 1e6:.3g}"
+
+
+def test_ring_ambiguity_is_one_warning(tmp_path):
+    """Every minimum with an ambiguous ring label is counted in one warning."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=120, n_restarts=4)
+    out = tmp_path / "out"
+    assert cli.main(["equilibrate", "--config", cfg, "--out", str(out)]) == 0
+    entries = read_strict_json(out / "equilibria.json")
+    ambiguous = [e["config_index"] for e in entries if e["ring_ambiguous"]]
+    assert len(ambiguous) >= 2
+    assert read_strict_json(out / "manifest.json")["warnings"] == [
+        f"ring clustering ambiguous in {len(ambiguous)} of {len(entries)} "
+        f"configurations: {ambiguous}"
+    ]
 
 
 def test_single_ion_equilibrate_writes_null_spacing(tmp_path):
