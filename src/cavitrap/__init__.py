@@ -88,10 +88,8 @@ from .modes import (  # noqa: E402
     IN_PLANE,
     OUT_OF_PLANE,
     ModeSpectrum,
-    amplitude_ratio,
     label_modes,
     normal_modes,
-    out_of_plane_lowest,
 )
 from .transition import (  # noqa: E402
     PowerLawFit,
@@ -106,7 +104,6 @@ from .barrier import (  # noqa: E402
     BarrierPath,
     BarrierWalkParams,
     barrier_pair,
-    barrier_upper_bound,
     optimize_path,
     propose_step,
 )

@@ -269,12 +269,6 @@ def optimize_path(x0, xf, params, trap, species, path_index=0):
     )
 
 
-def barrier_upper_bound(paths):
-    """Smallest peak over the paths; returns (barrier in K, best path)."""
-    best = min(paths, key=lambda p: p.peak_energy)
-    return best.barrier_from_start, best
-
-
 def barrier_pair(eq_start, eq_other, params, trap, species):
     """Walk n_paths from eq_start toward eq_other and bound both barriers.
 
@@ -291,12 +285,12 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     target = _aligned_target(eq_start, eq_other, trap)
     walk = partial(optimize_path, eq_start, target, params, trap, species)
     paths = _in_workers(walk, params.n_paths)
-    bound, best = barrier_upper_bound(paths)
+    best = min(paths, key=lambda p: p.peak_energy)
     e_other = planar_energy(_xy(eq_other), trap, species)
     return {
         "paths": paths,
         "best_path": best,
-        "barrier_from_start": bound,
+        "barrier_from_start": best.barrier_from_start,
         "barrier_from_other": (best.peak_energy - e_other) / CONST.boltzmann,
         "peaks": [p.peak_energy for p in paths],
         "n_converged": len(paths),  # every walk reaches its target

@@ -27,16 +27,17 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import __version__
 from .core import (
     CONST,
     OpticalTrapConfig,
-    TrapConfig,
     depth_for_aspect,
     intensity_for_depth,
     intensity_from_power,
     load_species,
+    make_trap,
     power_for_intensity,
     stark_coefficient,
     trap_depth,
@@ -220,8 +221,8 @@ def _fmt(x):
 
 def _build_trap(cfg, species):
     """TrapConfig from laboratory-unit config keys; the depth is _optical_depth's."""
-    omega_x = cfg.read("omega_r_mhz") * MHZ
-    omega_y = omega_x * (1.0 + cfg.read("anisotropy"))
+    omega_r = cfg.read("omega_r_mhz") * MHZ
+    anisotropy = cfg.read("anisotropy")
     optical = OpticalTrapConfig(
         wavelength=cfg.read("wavelength_nm") * 1e-9,
         waist=cfg.read("waist_um") * 1e-6,
@@ -229,7 +230,7 @@ def _build_trap(cfg, species):
         lattice_variant=cfg.read("lattice_variant"),
         finesse=cfg.read("finesse"),
     )
-    trap = TrapConfig(omega_x_dc=omega_x, omega_y_dc=omega_y, optical=optical)
+    trap = make_trap(omega_r, optical, anisotropy)
     return trap.with_depth(_optical_depth(cfg, trap, species)[0])
 
 
@@ -532,23 +533,26 @@ TABLE_ONE_ROWS = (
     "Off-resonant scattering rate of an ion at center [1/s]",
 )
 
-# waist-rule grid and asymptote tolerance: smallest waist whose alpha_tr is
-# within 2 percent of the uniform-waist value
-WAIST_RULE_GRID = np.linspace(1.5, 6.0, 19)
+# the waist rule: smallest waist from 1.5 r_max up whose alpha_tr is within
+# 2 percent of the uniform-waist value
 WAIST_RULE_TOL = 0.02
 
 
 def _select_waist(eq, trap, species):
-    """(the rule's w0, None), or (the grid's last w0, a warning) if none meets it."""
-    asymptote = alpha_tr_uniform(eq, trap, species)
-    for factor in WAIST_RULE_GRID:
+    """The waist rule's w0: 1.5 r_max where alpha_tr meets the rule already,
+    else the root of alpha_tr(w0) - 1.02 alpha_tr_uniform. That excess falls
+    with w0 toward -0.02 alpha_tr_uniform, so doubling from 1.5 r_max
+    brackets the root and brentq finds it."""
+    limit = (1.0 + WAIST_RULE_TOL) * alpha_tr_uniform(eq, trap, species)
+
+    def excess(factor):
         w0 = factor * eq.r_max
-        alpha = find_alpha_tr(eq, trap.with_waist(w0), species).alpha_tr
-        if alpha <= (1.0 + WAIST_RULE_TOL) * asymptote:
-            return w0, None
-    return w0, (f"N = {eq.n_ions}: no waist up to {factor:g} r_max brings alpha_tr "
-                f"within {WAIST_RULE_TOL:.0%} of the uniform-waist value; the table uses "
-                f"that waist, where alpha_tr is {alpha / asymptote - 1.0:.1%} above it")
+        return find_alpha_tr(eq, trap.with_waist(w0), species).alpha_tr - limit
+
+    lo = hi = 1.5
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    return (hi if lo == hi else brentq(excess, lo, hi)) * eq.r_max
 
 
 def _task_table_one(cfg, trap, species, seed):
@@ -565,9 +569,7 @@ def _task_table_one(cfg, trap, species, seed):
             if explicit is not None:
                 w0 = explicit[idx] * 1e-6
             else:
-                w0, shortfall = _select_waist(eq, trap, species)
-                if shortfall:
-                    warnings.append(shortfall)
+                w0 = _select_waist(eq, trap, species)
             trap_w = trap.with_waist(w0)
             alpha = find_alpha_tr(eq, trap_w, species).alpha_tr
             depth = depth_for_aspect(trap_w, species, alpha)
@@ -611,9 +613,6 @@ _TASK_IMPL = {
 }
 TASKS = tuple(_TASK_IMPL)
 
-# accept the config-file task spellings too: "transition-scan" -> "TransitionScan"
-_TASK_ALIASES = {name.title().replace("-", ""): name for name in TASKS}
-
 
 def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     """Execute one task; returns a RunManifest. Raises on failure.
@@ -636,7 +635,6 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     cfg = Config(given)
 
     task = cfg.read("task")
-    task = _TASK_ALIASES.get(task, task)
     if task not in _TASK_IMPL:
         raise ValidationError(f"unknown task {task!r}; choose from {TASKS}")
     seed = cfg.read("seed")

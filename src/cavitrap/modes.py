@@ -97,13 +97,6 @@ def normal_modes(eq, trap, species):
     )
 
 
-def out_of_plane_lowest(spectrum):
-    """(magnitude, imaginary flag) of the softest out-of-plane mode."""
-    idx = spectrum.select(OUT_OF_PLANE)
-    softest = idx[np.argmin(spectrum.omega_sq[idx])]
-    return spectrum.omega[softest], bool(spectrum.imaginary[softest])
-
-
 def _gram_schmidt(columns, floor_sq, q, count=0):
     """Modified Gram-Schmidt of the vectors in columns into q, whose first count
     columns are orthonormal. Vector j, less its projections on the columns
@@ -188,9 +181,3 @@ def label_modes(spectrum, eq):
         for slot, i in enumerate(group):
             labels[i] = _BASIS_LABELS[taken[slot]] if slot < len(taken) else LABEL_OTHER
     return replace(spectrum, vectors=vecs, labels=tuple(labels))
-
-
-def amplitude_ratio(spectrum, mode_index):
-    """min/max of per-ion |z| amplitudes of one out-of-plane mode."""
-    amps = np.abs(spectrum.z_amplitudes(mode_index))
-    return float(amps.min() / amps.max())

@@ -226,15 +226,16 @@ def test_paths_deterministic_and_distinct(five_ion_pair, bare_trap_21, species):
 
 
 def test_barrier_upper_bound_picks_best_path(five_ion_pair, bare_trap_21, species):
+    """barrier_pair's bound is the lowest peak over its paths, read off the
+    path that reaches it."""
     params = cv.BarrierWalkParams(seed=0, n_paths=3)
-    paths = [
-        cv.optimize_path(five_ion_pair[0].xy_flat, five_ion_pair[1].xy_flat,
-                         params, bare_trap_21, species, path_index=k)
-        for k in range(3)
-    ]
-    bound, best = cv.barrier_upper_bound(paths)
-    assert bound == min(p.barrier_from_start for p in paths)
-    assert best.barrier_from_start == bound
+    result = cv.barrier_pair(five_ion_pair[0], five_ion_pair[1], params,
+                             bare_trap_21, species)
+    paths, best = result["paths"], result["best_path"]
+    assert any(p is best for p in paths)
+    assert best.peak_energy == min(result["peaks"])
+    assert result["barrier_from_start"] == min(p.barrier_from_start for p in paths)
+    assert result["barrier_from_start"] == best.barrier_from_start
 
 
 def test_barrier_pair_consistency(five_ion_pair, bare_trap_21, species):
@@ -398,7 +399,8 @@ def test_barrier_pair_workers_match_serial_walks(five_ion_pair, bare_trap_21,
         cv.optimize_path(start, target, params, bare_trap_21, species, path_index=k)
         for k in range(params.n_paths)
     ]
-    bound, best = cv.barrier_upper_bound(serial)
+    best = min(serial, key=lambda p: p.peak_energy)
+    bound = best.barrier_from_start
     monkeypatch.setattr(barrier, "optimize_path", _walk_marked)
     for cpus in (1, 2, 4):
         monkeypatch.setattr(equilibrium, "_cpu_count", lambda: cpus)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavitrap as cv
@@ -448,23 +449,54 @@ def test_mu_mhz_sets_the_drive(tmp_path):
     assert summary["mu_rad_per_s"] == 2.1 * cli.MHZ
 
 
-def test_waist_rule_warns_when_its_grid_ends(tmp_path, bare_trap_100, species):
-    """At N = 5 no grid waist brings alpha_tr within 2 % of the uniform-waist
-    value; the table uses the grid's end, 6 r_max, and the one manifest
-    warning gives N and the shortfall. N = 10, 20 and 30 meet the rule."""
+@pytest.fixture(scope="module")
+def table_one_crystals(bare_trap_100, species):
+    """The stable crystals a default table-one run uses (8 restarts, seed 0)."""
+    return {n: cv.find_equilibria(n, bare_trap_100, species, n_restarts=8, seed=0)[0]
+            for n in cli.TABLE_ONE_N}
+
+
+def _alpha_ratio(eq, trap, species, w0):
+    """alpha_tr at waist w0 over the uniform-waist value."""
+    alpha = cv.find_alpha_tr(eq, trap.with_waist(w0), species).alpha_tr
+    return alpha / cv.alpha_tr_uniform(eq, trap, species)
+
+
+@pytest.mark.parametrize("n", cli.TABLE_ONE_N)
+def test_waist_rule_returns_its_root(n, table_one_crystals, bare_trap_100, species):
+    """The waist meets the 2 % rule to brentq's tolerance, and 1 % less does not."""
+    eq = table_one_crystals[n]
+    w0 = cli._select_waist(eq, bare_trap_100, species)
+    limit = 1.0 + cli.WAIST_RULE_TOL
+    assert abs(_alpha_ratio(eq, bare_trap_100, species, w0) - limit) <= 1e-9
+    assert _alpha_ratio(eq, bare_trap_100, species, 0.99 * w0) > limit
+
+
+@pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
+def test_waist_rule_ratio_falls_with_waist(variant, table_one_crystals, bare_trap_100,
+                                           species):
+    """alpha_tr / alpha_tr_uniform falls strictly from 1.5 to 20 r_max, so the
+    rule's bracket closes and its root is unique."""
+    trap = dataclasses.replace(bare_trap_100, optical=dataclasses.replace(
+        bare_trap_100.optical, lattice_variant=variant))
+    for eq in table_one_crystals.values():
+        ratios = [_alpha_ratio(eq, trap, species, f * eq.r_max)
+                  for f in np.linspace(1.5, 20.0, 371)]
+        assert np.all(np.diff(ratios) < 0.0)
+
+
+def test_table_one_writes_the_rule_waists(tmp_path, table_one_crystals, bare_trap_100,
+                                          species):
+    """Without waists_um the table's waists are the rule's, with no warning."""
     cfg = write_config(tmp_path / "cfg.json", n_restarts=8, seed=0)
     out = tmp_path / "out"
     assert cli.main(["table-one", "--config", cfg, "--out", str(out)]) == 0
-    eq = cv.find_equilibria(5, bare_trap_100, species, n_restarts=8, seed=0)[0]
-    w0 = 6.0 * eq.r_max
-    alpha = cv.find_alpha_tr(eq, bare_trap_100.with_waist(w0), species).alpha_tr
-    excess = alpha / cv.alpha_tr_uniform(eq, bare_trap_100, species) - 1.0
-    assert excess > cli.WAIST_RULE_TOL
-    (warning,) = read_strict_json(out / "manifest.json")["warnings"]
-    assert warning.startswith("N = 5: ")
-    assert "up to 6 r_max" in warning and f"alpha_tr is {excess:.1%} above" in warning
+    assert read_strict_json(out / "manifest.json")["warnings"] == []
     rows = {row[0]: row[1:] for row in read_csv(out / "table1.csv")}
-    assert rows["Trapping beam waist w0 [um]"][0] == f"{w0 * 1e6:.3g}"
+    assert rows["Trapping beam waist w0 [um]"] == [
+        f"{cli._select_waist(table_one_crystals[n], bare_trap_100, species) * 1e6:.3g}"
+        for n in cli.TABLE_ONE_N
+    ]
 
 
 def test_ring_ambiguity_is_one_warning(tmp_path):
@@ -542,10 +574,11 @@ def test_finesse_doubling_doubles_intensity(tmp_path):
 
 
 def test_modes_task_and_config_alias(tmp_path):
+    """The config's task key, with no task given to run, picks the modes task."""
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
-        task="Modes", n_ions=4, omega_r_mhz=0.5, waist_um=100.0,
+        task="modes", n_ions=4, omega_r_mhz=0.5, waist_um=100.0,
         omega_z_mhz=2.0, n_restarts=8, output_dir=str(tmp_path / "out"),
     )
     manifest = cli.run(str(cfg_path))
@@ -579,26 +612,15 @@ def test_unknown_task_rejected(tmp_path):
         cli.run(str(cfg_path))
 
 
-@pytest.mark.parametrize("spelling, task", [
-    ("Equilibrate", "equilibrate"),
-    ("Modes", "modes"),
-    ("TransitionScan", "transition-scan"),
-    ("WaistScan", "waist-scan"),
-    ("Barrier", "barrier"),
-    ("Spin", "spin"),
-    ("Lifetime", "lifetime"),
-    ("TableOne", "table-one"),
-])
-def test_camelcase_task_alias_resolves(spelling, task, tmp_path, monkeypatch):
-    ran = []
-    monkeypatch.setattr(cli, "_TASK_IMPL", {
-        name: (lambda *args, name=name: ran.append(name) or ([], []))
-        for name in cli.TASKS
-    })
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, task=spelling, output_dir=str(tmp_path / "out"))
-    cli.run(str(cfg_path))
-    assert ran == [task]
+def test_camelcase_task_is_unknown(tmp_path):
+    """A task has one spelling: "Equilibrate" is a ValidationError (exit 3)
+    naming it, and nothing is written."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", task="Equilibrate", n_ions=4,
+                       output_dir=str(out))
+    with pytest.raises(cli.ValidationError, match="unknown task 'Equilibrate'"):
+        cli.run(cfg)
+    assert not out.exists()
 
 
 def test_console_script_smoke(tmp_path):

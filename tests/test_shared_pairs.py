@@ -87,7 +87,7 @@ def _count_calls(monkeypatch, name):
 def test_waist_rule_and_modes_run_one_z_block(crystals, bare_trap_100, species, monkeypatch):
     eq = dataclasses.replace(crystals[30])
     calls = _count_calls(monkeypatch, "coulomb_z_block")
-    w0, _ = cli._select_waist(eq, bare_trap_100, species)
+    w0 = cli._select_waist(eq, bare_trap_100, species)
     trap_w = bare_trap_100.with_waist(w0)
     alpha = cv.find_alpha_tr(eq, trap_w, species).alpha_tr
     cv.normal_modes(eq, trap_w.with_depth(cv.depth_for_aspect(trap_w, species, 1.1 * alpha)),
