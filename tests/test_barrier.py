@@ -1,3 +1,4 @@
+import copy
 import math
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from scipy.optimize import linear_sum_assignment
+from scipy.special import ndtri, ndtri_exp
 from scipy.stats import chisquare, ks_2samp, kstest
 
 import cavitrap as cv
@@ -30,6 +32,8 @@ def test_params_validation():
         cv.BarrierWalkParams(n_samples=0)
     with pytest.raises(cv.DomainError):
         cv.BarrierWalkParams(t_p=0.0)
+    with pytest.raises(cv.DomainError):
+        cv.BarrierWalkParams(t_p=math.nan)  # once failed later, inside rng.choice
     with pytest.raises(cv.DomainError):
         cv.BarrierWalkParams(d=1e-6, epsilon=1e-6)  # needs epsilon > d
 
@@ -128,6 +132,125 @@ def test_grey_sampler_uniform_in_ball_inside_cube():
     radii = np.linalg.norm(samples - xf, axis=1)
     assert radii.max() <= r_ball
     assert kstest((radii / r_ball) ** x.size, "uniform").pvalue > 0.01
+
+
+def _unfiltered_map(x, xf, params):
+    """The sampler's map from raw uniforms to y, with its sigma and R^2."""
+    s = x - xf
+    r_ball = np.linalg.norm(s) - params.d
+    a = -np.abs(s) - params.epsilon / 2.0
+    b = a + params.epsilon
+    sigma = barrier._proposal_sigma(a, b, r_ball)
+    log_pb, q = barrier._lower_masses(a / sigma, b / sigma)
+    tail = log_pb < barrier._LOG_TINY
+    scale = np.where(s > 0.0, -sigma, sigma)
+
+    def to_y(u):
+        y = ndtri(np.exp(log_pb) * (1.0 - q * u))
+        y[:, tail] = ndtri_exp(log_pb[tail] + np.log1p(-u[:, tail] * q[tail]))
+        return y * scale
+
+    return to_y, sigma, r_ball**2
+
+
+def _unfiltered_grey_pool(x, xf, params, rng):
+    """Oracle: the grey-region sampler with no squeeze.
+
+    Every draw goes through the inverse CDF and the exact test, with the
+    same random stream; _grey_pool must return this pool bit for bit.
+    """
+    to_y, sigma, r2 = _unfiltered_map(x, xf, params)
+    n = params.n_samples
+    pool, accepted, drawn, chunk = [], 0, 0, n
+    while accepted < n:
+        y = to_y(rng.random((chunk, x.size)))
+        rr = np.einsum("ij,ij->i", y, y)
+        keep = (rr <= r2) & (rng.random(chunk) <= np.exp((rr - r2) / (2.0 * sigma**2)))
+        pool.append(y[keep])
+        accepted += int(keep.sum())
+        drawn += chunk
+        chunk = min(barrier._MAX_CHUNK * n,
+                    math.ceil(1.1 * (n - accepted) * drawn / max(accepted, 1)))
+    return xf + np.vstack(pool)[:n]
+
+
+# (dim, d, eps, |x - xf|, straddle): GREY_GEOMETRIES' steps at n_samples =
+# 1000, dim 60 as at N = 30, and steps 3 d from the target. With straddle,
+# every third axis has |x_k - xf_k| < eps / 2, so the cube holds xf_k and
+# one bin on that axis crosses y_k = 0.
+SQUEEZE_GEOMETRIES = {
+    **{name: (*g[:4], False) for name, g in GREY_GEOMETRIES.items()},
+    "dim4_straddle": (4, 0.3, 1.0, 1.5, True),
+    "dim12_straddle": (12, 0.05, 0.125, 1.0, True),
+    "dim12_near": (12, 1 / 3, 2.5 / 3, 1.0, False),
+    "dim18_near_straddle": (18, 1 / 3, 2.5 / 3, 1.0, True),
+    "dim18_tail_straddle": (18, 1e-4, 2.5e-4, 1.0, True),
+    "dim60_early": (60, 0.05, 0.125, 1.0, False),
+    "dim60_late_straddle": (60, 0.2, 0.5, 1.0, True),
+    "dim60_tail": (60, 1e-4, 2.5e-4, 1.0, False),
+}
+
+
+def _squeeze_step(geometry):
+    """x, xf and the walk parameters of one SQUEEZE_GEOMETRIES step."""
+    dim, d, eps, dist, straddle = SQUEEZE_GEOMETRIES[geometry]
+    x = np.zeros(dim)
+    direction = np.random.default_rng(dim).uniform(0.2, 1.0, dim)
+    direction *= np.where(np.arange(dim) % 3 == 2, -1.0, 1.0)
+    if straddle:
+        direction[::3] *= 1e-6
+    xf = dist * direction / np.linalg.norm(direction)
+    assert not straddle or (np.abs(xf - x)[::3] < eps / 2).all()
+    return x, xf, cv.BarrierWalkParams(d=d, epsilon=eps)
+
+
+@pytest.mark.parametrize("geometry", sorted(SQUEEZE_GEOMETRIES))
+def test_squeeze_matches_unfiltered_sampler(geometry):
+    """Skipping the draws the bounds settle leaves the pool and stream as they were."""
+    x, xf, params = _squeeze_step(geometry)
+    rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+    for _ in range(3):
+        assert np.array_equal(_grey_pool(x, xf, params, rng),
+                              _unfiltered_grey_pool(x, xf, params, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("geometry", sorted(SQUEEZE_GEOMETRIES))
+def test_squeeze_tables_bound_every_draw(geometry):
+    """Each draw's y_k^2 lies within its bin's table entries.
+
+    A bin that crosses y_k = 0 must bound y_k^2 below by 0. Without that
+    zero it overstates the bound by at most (eps / _SQUEEZE_BINS)^2, too
+    little to move any pool the comparison above draws, so this checks the
+    tables directly.
+    """
+    x, xf, params = _squeeze_step(geometry)
+    to_y, _, _ = _unfiltered_map(x, xf, params)
+    lo, hi = barrier._squeeze_tables(to_y, x.size)
+    u = np.random.default_rng(17).random((20_000, x.size))
+    y2 = to_y(u) ** 2
+    bins = (u * barrier._SQUEEZE_BINS).astype(int) + barrier._SQUEEZE_BINS * np.arange(x.size)
+    assert (lo[bins] <= y2).all() and (y2 <= hi[bins]).all()
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_squeeze_matches_unfiltered_sampler_along_a_walk(n, bare_trap_21, species,
+                                                         monkeypatch):
+    """Every step of a walk draws the oracle's pool, so every walk is unchanged."""
+    eqs = cv.find_equilibria(n, bare_trap_21, species, n_restarts=40, seed=0)
+    target = barrier._aligned_target(eqs[0], eqs[1], bare_trap_21)
+    squeezed, steps = barrier._grey_pool, []
+
+    def checked(x, xf, params, rng):
+        twin = copy.deepcopy(rng)
+        pool = squeezed(x, xf, params, rng)
+        steps.append(np.array_equal(pool, _unfiltered_grey_pool(x, xf, params, twin))
+                     and rng.bit_generator.state == twin.bit_generator.state)
+        return pool
+
+    monkeypatch.setattr(barrier, "_grey_pool", checked)
+    cv.optimize_path(eqs[0], target, cv.BarrierWalkParams(), bare_trap_21, species)
+    assert len(steps) >= 15 and all(steps)
 
 
 def test_grey_pool_empty_region_raises_before_drawing():
@@ -453,6 +576,20 @@ def test_walk_converges_at_thirty_ions(bare_trap_21, species):
                             species)
     d = np.linalg.norm(eqs[0].xy_flat - eqs[1].xy_flat) / 20.0
     assert np.linalg.norm(path.points[-1] - eqs[1].xy_flat) < d
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.0])
+def test_step_reaching_the_target_is_rejected(ratio, five_ion_pair, bare_trap_21,
+                                              species):
+    """d >= |x0 - xf| once gave one-point paths: 0 K from the start, < 0 from the other end."""
+    dist = np.linalg.norm(five_ion_pair[0].xy_flat - five_ion_pair[1].xy_flat)
+    params = cv.BarrierWalkParams(d=ratio * dist, n_paths=2)
+    with pytest.raises(cv.DomainError, match="reaches the target"):
+        cv.optimize_path(five_ion_pair[0], five_ion_pair[1], params, bare_trap_21,
+                         species)
+    with pytest.raises(cv.DomainError, match="reaches the target"):
+        cv.barrier_pair(five_ion_pair[0], five_ion_pair[1], params, bare_trap_21,
+                        species)
 
 
 def test_walk_endpoint_mismatch(five_ion_pair, bare_trap_21, species):

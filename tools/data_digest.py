@@ -38,6 +38,8 @@ CONFIGS = {
     "table-one-readme-waists": dict(
         task="table-one", waists_um=[14.4, 21.0, 27.3, 26.8], n_restarts=8),
     "barrier-n6": dict(task="barrier", n_ions=6, n_paths=3),
+    "barrier-n9": dict(task="barrier", n_ions=9, n_paths=2),
+    "barrier-n9-anisotropic": dict(task="barrier", n_ions=9, n_paths=2, anisotropy=0.07),
     "spin-n10-sweep": dict(task="spin", n_ions=10, omega_z_mhz=2.0,
                            mu_over_max_list=[1.01, 1.1, 2.0, 10.0]),
     "spin-n4": dict(task="spin", n_ions=4, omega_z_mhz=2.0),
