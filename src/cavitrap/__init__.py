@@ -117,11 +117,9 @@ from .spin import (  # noqa: E402
 )
 from .lifetime import (  # noqa: E402
     NON_LANGEVIN_HEATING_BOUND,
-    GasSpecies,
     LifetimeEstimate,
     langevin_rate,
     lifetime_estimate,
-    load_gas,
     photon_recoil,
     recoil_heating,
     scattering_rates,

@@ -51,7 +51,7 @@ so the paths and bounds are bitwise the same for any number of workers.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -164,8 +164,11 @@ def _proposal_sigma(a, b, r_ball):
     distance of the cube's nearest point (< R^2) to the cube's uniform
     second moment (> |x - xf|^2 > R^2), so the root is bracketed by doubling.
     Any sigma gives the exact law, so a loose tolerance only costs yield.
+    Both loops start at one point and brentq starts at the bracket's ends,
+    so excess is memoised: each point is evaluated once.
     """
 
+    @cache
     def excess(log_sigma):
         return _second_moment(a, b, math.exp(log_sigma)) - r_ball**2
 

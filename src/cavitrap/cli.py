@@ -25,6 +25,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -46,10 +47,11 @@ from .barrier import BarrierWalkParams, barrier_pair
 from .equilibrium import _pair_r, find_equilibria
 from .errors import CavitrapError, DomainError, FitError, ValidationError
 from .lifetime import (
+    H2_MASS,
+    H2_POLARIZABILITY,
     NON_LANGEVIN_HEATING_BOUND,
     langevin_rate,
     lifetime_estimate,
-    load_gas,
     photon_recoil,
     recoil_heating,
     scattering_rates,
@@ -104,19 +106,22 @@ CONFIG_TABLE = {
     "n_paths": (INTEGER, 10),
     "sdf_wavelength_nm": (NUMBER, 355.0),    # nm
     "rabi_khz": (NUMBER, 50.0),              # kHz
-    # drive keys: at most one of the next two
+    # drive keys: at most one of the next two (_DRIVE_KEYS)
     "mu_mhz": (NUMBER, None),                # MHz, drive frequency / 2 pi
     "mu_over_max": (NUMBER, 1.002),          # mu / highest out-of-plane mode
     "mu_over_max_list": (NUMBERS, None),     # sweep of mu_over_max
-    "gas": (TEXT, "H2"),                     # name in the shipped gases.json
     "pressure_mbar": (NUMBER, 1e-11),        # mbar
     "temperature_k": (NUMBER, 300.0),        # K
 }
+_LIGHT_KEYS = ("depth_mk", "omega_z_mhz", "intensity_w_m2", "power_w")
+_DRIVE_KEYS = ("mu_mhz", "mu_over_max")
 
 
 class Config:
-    """A config's values, read by key against CONFIG_TABLE.
-
+    """A config's values, each checked against CONFIG_TABLE when it loads,
+    whether or not the task reads it; a null counts as absent for a key
+    without a default. Integers are stored as int, any other value
+    unconverted, so a config int echoed into a data file keeps its form.
     ``used`` maps every key read so far to the value the run used,
     defaults included; the manifest hashes it.
     """
@@ -125,30 +130,35 @@ class Config:
         unknown = sorted(set(given) - set(CONFIG_TABLE))
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
-        self.given = given
+        self.given = {}
+        for key, value in given.items():
+            kind, default = CONFIG_TABLE[key]
+            if value is None and default is None:  # optional key, null
+                continue
+            if not _is_kind(value, kind):
+                raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
+            if kind == INTEGER:
+                value = int(value)
+            elif kind == INTEGERS:
+                value = [int(v) for v in value]
+            self.given[key] = value
+        for keys in (_LIGHT_KEYS, _DRIVE_KEYS):
+            chosen = [key for key in keys if key in self.given]
+            if len(chosen) > 1:
+                raise ValidationError(
+                    f"config keys {chosen} are alternatives; give at most one")
         self.used = {}
 
     def read(self, key, default=None):
         """The value of key; default, when given, stands in for the table's.
 
-        A missing REQUIRED key, or a value of the wrong kind, is a
-        ValidationError naming the key. Integers come back as int; any
-        other value comes back unconverted, so a config int echoed into a
-        data file keeps its form and the file's bytes do not change.
+        A missing REQUIRED key is a ValidationError naming the key.
         """
-        kind, table_default = CONFIG_TABLE[key]
-        default = table_default if default is None else default
+        if default is None:
+            default = CONFIG_TABLE[key][1]
         value = self.given.get(key, default)
-        if value is None and default is None:  # optional key, absent or null
-            pass
-        elif value is REQUIRED:
+        if value is REQUIRED:
             raise ValidationError(f"config key {key!r} is required for this task")
-        elif not _is_kind(value, kind):
-            raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
-        elif kind == INTEGER:
-            value = int(value)
-        elif kind == INTEGERS:
-            value = [int(v) for v in value]
         self.used[key] = value
         return value
 
@@ -234,15 +244,9 @@ def _build_trap(cfg, species):
     return trap.with_depth(_optical_depth(cfg, trap, species)[0])
 
 
-_LIGHT_KEYS = ("depth_mk", "omega_z_mhz", "intensity_w_m2", "power_w")
-
-
 def _one_of(cfg, keys):
-    """The one of keys that cfg gives (a null counts as absent), or None."""
-    given = [key for key in keys if cfg.given.get(key) is not None]
-    if len(given) > 1:
-        raise ValidationError(f"config keys {given} are alternatives; give at most one")
-    return given[0] if given else None
+    """The one of keys that cfg gives, or None; Config allows at most one."""
+    return next((key for key in keys if key in cfg.given), None)
 
 
 def _optical_depth(cfg, trap, species):
@@ -430,7 +434,7 @@ def _task_spin(cfg, trap, species, seed):
 
     recoil = photon_recoil(cfg.read("sdf_wavelength_nm") * 1e-9, species)
     rabi = cfg.read("rabi_khz") * 2.0 * math.pi * 1e3
-    if _one_of(cfg, ("mu_mhz", "mu_over_max")) == "mu_mhz":
+    if _one_of(cfg, _DRIVE_KEYS) == "mu_mhz":
         mu = cfg.read("mu_mhz") * MHZ
     else:
         mu = cfg.read("mu_over_max") * z_max
@@ -487,12 +491,9 @@ def _task_lifetime(cfg, trap, species, seed):
         intensity = intensity_for_depth(species, omega_l, trap.optical.depth)
     est = lifetime_estimate(species, omega_l, intensity, n)
 
-    gas = load_gas(cfg.read("gas"))
     pressure = cfg.read("pressure_mbar") * 100.0  # mbar to Pa
     temperature = cfg.read("temperature_k")
-    collision = langevin_rate(
-        pressure, temperature, gas.polarizability, gas.mass, species
-    )
+    collision = langevin_rate(pressure, temperature, H2_POLARIZABILITY, H2_MASS, species)
     e_rec, heat = recoil_heating(trap.optical.wavelength, species, est.gamma_off)
     warnings = (["tau_s is infinite (no metastable scattering); written as null"]
                 if math.isinf(est.tau) else [])
@@ -510,7 +511,7 @@ def _task_lifetime(cfg, trap, species, seed):
             recoil_heating_k_per_s=heat,
             non_langevin_heating_bound_k_per_s=NON_LANGEVIN_HEATING_BOUND,
             background_pressure_pa=pressure,
-            gas=gas.label,
+            gas="H2",
             temperature_k=temperature,
         ),
     ))], warnings
@@ -542,9 +543,11 @@ def _select_waist(eq, trap, species):
     """The waist rule's w0: 1.5 r_max where alpha_tr meets the rule already,
     else the root of alpha_tr(w0) - 1.02 alpha_tr_uniform. That excess falls
     with w0 toward -0.02 alpha_tr_uniform, so doubling from 1.5 r_max
-    brackets the root and brentq finds it."""
+    brackets the root and brentq finds it. brentq starts at the bracket's
+    ends, which the doubling evaluated, so excess is memoised."""
     limit = (1.0 + WAIST_RULE_TOL) * alpha_tr_uniform(eq, trap, species)
 
+    @cache
     def excess(factor):
         w0 = factor * eq.r_max
         return find_alpha_tr(eq, trap.with_waist(w0), species).alpha_tr - limit

@@ -11,6 +11,7 @@ harmonic frequencies at the trap center.
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -117,23 +118,40 @@ def load_species(source):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"species file {source!r} is not valid JSON: {exc}") from exc
 
+    def number(entry, key, default=None, positive=False):
+        """entry[key], or default where given and the key is absent; a
+        ValidationError naming file and key unless a finite (positive) number.
+        The bound also rejects NaN and an int too large for a float."""
+        value = entry[key] if default is None else entry.get(key, default)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+            raise ValidationError(f"species file {source!r} key {key!r} must be a finite "
+                                  f"{'positive ' if positive else ''}number, got {value!r}")
+        return value
+
+    if not isinstance(raw, dict):
+        raise ValidationError(f"species file {source!r} must hold a JSON object")
     try:
+        entries = raw["lines"]
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValidationError(
+                f"species file {source!r} key 'lines' must be a list of objects")
         lines = tuple(
             AtomicLine(
                 transition_angular_frequency=2.0 * math.pi * CONST.speed_of_light
-                / (entry["wavelength_nm"] * 1e-9),
-                natural_linewidth=2.0 * math.pi * entry["linewidth_mhz"] * 1e6,
-                weight=entry.get("weight", 1.0),
+                / (number(entry, "wavelength_nm", positive=True) * 1e-9),
+                natural_linewidth=2.0 * math.pi * number(entry, "linewidth_mhz") * 1e6,
+                weight=number(entry, "weight", 1.0),
             )
-            for entry in raw["lines"]
+            for entry in entries
         )
         return IonSpecies(
-            mass=raw["mass_amu"] * CONST.atomic_mass_unit,
+            mass=number(raw, "mass_amu") * CONST.atomic_mass_unit,
             lines=lines,
-            branch_ratio_meta=raw["branch_ratio_meta"],
-            metastable_lifetime=raw["metastable_lifetime_ms"] * 1e-3,
+            branch_ratio_meta=number(raw, "branch_ratio_meta"),
+            metastable_lifetime=number(raw, "metastable_lifetime_ms") * 1e-3,
             label=raw.get("label", ""),
-            polarizability_offset=raw.get("polarizability_offset_au", 0.0)
+            polarizability_offset=number(raw, "polarizability_offset_au", 0.0)
             * ATOMIC_POLARIZABILITY_SI,
         )
     except KeyError as exc:

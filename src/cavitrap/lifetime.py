@@ -7,13 +7,11 @@ tau = 1 / (Gamma_meta N). Background-gas Langevin collisions and photon
 recoil are the slower competing channels, estimated here for comparison.
 """
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from .core import CONST, _line_factors
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -24,38 +22,14 @@ class LifetimeEstimate:
     tau: float          # s
 
 
-@dataclass(frozen=True)
-class GasSpecies:
-    mass: float             # kg
-    polarizability: float   # C m^2 / V
-    label: str = ""
-
-
 # The non-Langevin (glancing) collision channel is only bounded, not
 # modeled: reported heating stays below this figure.
 NON_LANGEVIN_HEATING_BOUND = 1e-4  # K/s
 
-
-def load_gas(name):
-    """Background-gas data for a gas name listed in the shipped gases.json."""
-    try:
-        path = resources.files("cavitrap.data").joinpath("gases.json")
-        table = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read gas data: {exc}") from exc
-    if name not in table:
-        raise ValidationError(f"unknown gas {name!r}; have {sorted(table)}")
-    entry = table[name]
-    # polarizability volume in Angstrom^3 to SI: alpha = 4 pi eps0 * volume
-    alpha = (
-        4.0 * math.pi * CONST.vacuum_permittivity
-        * entry["polarizability_volume_angstrom3"] * 1e-30
-    )
-    return GasSpecies(
-        mass=entry["mass_amu"] * CONST.atomic_mass_unit,
-        polarizability=alpha,
-        label=name,
-    )
+# The ultra-high-vacuum background gas is H2: its mass, and its
+# polarizability from the volume 0.787 Angstrom^3 as alpha = 4 pi eps0 volume
+H2_MASS = 2.0 * CONST.atomic_mass_unit  # kg
+H2_POLARIZABILITY = 4.0 * math.pi * CONST.vacuum_permittivity * 0.787 * 1e-30  # C m^2/V
 
 
 def scattering_rates(species, omega_l, intensity):

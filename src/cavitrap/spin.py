@@ -25,10 +25,6 @@ from .transition import _log_log_fit
 
 RESONANCE_TOL_FACTOR = 1e-3
 
-# relative gap above which two pair distances count as distinct in fit_beta;
-# equal sides of a converged equilibrium agree to a few 1e-9
-DISTANCE_MATCH_RTOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SpinDriveConfig:
@@ -111,19 +107,10 @@ def fit_beta(graph, eq):
     """Power-law exponent of |J| versus pair distance, (beta, residual RMS).
 
     Raises FitError for a zero coupling, or for fewer than three distinct
-    pair distances: neighbours in sorted order are distinct when more than
-    DISTANCE_MATCH_RTOL apart, relative to the larger.
+    pair distances (transition._log_log_fit).
     """
-    r = _pair_r(eq)
     j_abs = np.abs(graph.j[np.triu_indices(len(graph.j), 1)])
-    if np.any(j_abs == 0.0):
-        raise FitError("zero couplings, power-law fit undefined")
-    r_sorted = np.sort(r)
-    gaps = np.diff(r_sorted) > DISTANCE_MATCH_RTOL * r_sorted[1:]
-    n_distinct = 1 + np.count_nonzero(gaps)
-    if n_distinct < 3:
-        raise FitError("need at least 3 distinct pair distances")
-    slope, _, residual = _log_log_fit(r, j_abs)
+    slope, _, residual = _log_log_fit(_pair_r(eq), j_abs, "pair distances", "couplings")
     return -slope, residual
 
 

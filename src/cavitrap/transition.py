@@ -92,9 +92,25 @@ def alpha_tr_uniform(eq, trap, species):
     return math.sqrt(lam_max) / trap.omega_r
 
 
-def _log_log_fit(x, y):
-    """Least squares of ln y on ln x over positive arrays:
-    (slope, intercept, RMS residual in log space)."""
+# relative gap above which two x values count as distinct in a power-law
+# fit; equal sides of a converged equilibrium agree to a few 1e-9
+DISTANCE_MATCH_RTOL = 1e-6
+
+
+def _log_log_fit(x, y, x_name, y_name):
+    """Least squares of ln y on ln x: (slope, intercept, RMS residual in log space).
+
+    Raises FitError, naming x_name and y_name, unless x and y are positive
+    and x holds at least three distinct values: neighbours in sorted order
+    are distinct when more than DISTANCE_MATCH_RTOL apart, relative to the
+    larger.
+    """
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise FitError(f"power-law fit needs positive {x_name} and {y_name}")
+    x_sorted = np.sort(x)
+    gaps = np.diff(x_sorted) > DISTANCE_MATCH_RTOL * x_sorted[1:]
+    if 1 + np.count_nonzero(gaps) < 3:
+        raise FitError(f"need at least 3 distinct {x_name}")
     design = np.column_stack([np.log(x), np.ones(len(x))])
     coef, *_ = np.linalg.lstsq(design, np.log(y), rcond=None)
     resid = design @ coef - np.log(y)
@@ -102,15 +118,12 @@ def _log_log_fit(x, y):
 
 
 def fit_power_law(points):
-    """Least squares of ln(alpha_tr) on ln(N); returns PowerLawFit."""
+    """Least squares of ln(alpha_tr) on ln(N); returns PowerLawFit.
+    FitError unless N and alpha are positive, with 3 distinct N."""
     pts = [(n, a) for n, a in points]
-    if len(pts) < 3:
-        raise FitError("power-law fit needs at least 3 points")
     n = np.array([p[0] for p in pts], dtype=float)
     alpha = np.array([p[1] for p in pts], dtype=float)
-    if np.any(n <= 0) or np.any(alpha <= 0):
-        raise FitError("power-law fit needs positive N and alpha")
-    exponent, intercept, residual = _log_log_fit(n, alpha)
+    exponent, intercept, residual = _log_log_fit(n, alpha, "N", "alpha")
     return PowerLawFit(float(np.exp(intercept)), exponent, residual)
 
 

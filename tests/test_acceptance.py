@@ -18,6 +18,7 @@ import scipy.constants as sc
 
 import cavitrap as cv
 from cavitrap import cli
+from cavitrap.lifetime import H2_MASS, H2_POLARIZABILITY
 from cavitrap.modes import LABEL_COM, LABEL_TILT_X, LABEL_TILT_Y
 
 MHZ = 2.0 * math.pi * 1e6
@@ -171,9 +172,8 @@ def test_criterion_4_lifetime_identities(species):
 
 
 def test_criterion_5_collision_and_recoil(species):
-    gas = cv.load_gas("H2")
     rate_hr = 3600.0 * cv.langevin_rate(
-        1e-11 * 100.0, 300.0, gas.polarizability, gas.mass, species
+        1e-11 * 100.0, 300.0, H2_POLARIZABILITY, H2_MASS, species
     )
     e_rec_mk = cv.photon_recoil(1064e-9, species) / sc.k * 1e3
     ok = within(rate_hr, 1.3, 0.10) and within(e_rec_mk, 5e-5, 0.05)

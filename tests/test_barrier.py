@@ -253,6 +253,21 @@ def test_squeeze_matches_unfiltered_sampler_along_a_walk(n, bare_trap_21, specie
     assert len(steps) >= 15 and all(steps)
 
 
+def test_sigma_solve_evaluates_each_point_once(five_ion_pair, bare_trap_21, species,
+                                               monkeypatch):
+    """Over one walk, no second moment is evaluated twice at one point."""
+    moment, calls = barrier._second_moment, []
+
+    def counted(a, b, sigma):
+        calls.append((a.tobytes(), b.tobytes(), sigma))
+        return moment(a, b, sigma)
+
+    monkeypatch.setattr(barrier, "_second_moment", counted)
+    cv.optimize_path(five_ion_pair[0].xy_flat, five_ion_pair[1].xy_flat,
+                     cv.BarrierWalkParams(), bare_trap_21, species)
+    assert len(calls) >= 30 and len(set(calls)) == len(calls)
+
+
 def test_grey_pool_empty_region_raises_before_drawing():
     """The cube's nearest point to xf lies beyond R: no draw is made."""
     x = np.zeros(4)

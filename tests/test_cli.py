@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import cavitrap as cv
+from scipy.optimize import brentq
+
 from cavitrap import cli
 from cavitrap.core import CONST, intensity_for_depth, intensity_from_power
 
@@ -161,6 +164,8 @@ def test_exit_3_on_missing_required_key(tmp_path, capsys):
     ("n_restarts", 2.5),
     pytest.param("n_ions", 10**400, id="n_ions-too-large-for-a-float"),
     ("seed", -1),
+    ("n_samples", "many"),  # read by barrier only
+    pytest.param("mu_over_max_list", [1.01, "x"], id="mu_over_max_list-entry"),  # spin only
 ])
 def test_exit_3_on_wrongly_typed_value(tmp_path, capsys, key, value):
     cfg = dict(n_ions=4, omega_r_mhz=0.5, n_restarts=4)
@@ -189,8 +194,10 @@ def test_exit_3_on_unknown_key(tmp_path, capsys):
                  id="species_file-true"),
     pytest.param("equilibrate", dict(species_file=0), "species_file",
                  id="species_file-zero"),
-    pytest.param("lifetime", dict(gas=["H2"]), "gas", id="gas-list"),
-    pytest.param("lifetime", dict(gas={"a": 1}), "gas", id="gas-object"),
+    pytest.param("lifetime", dict(lattice_variant=["node_sin2"]), "lattice_variant",
+                 id="lattice_variant-list"),
+    pytest.param("lifetime", dict(lattice_variant={"a": 1}), "lattice_variant",
+                 id="lattice_variant-object"),
     pytest.param("equilibrate", dict(output_dir=5), "output_dir", id="output_dir-number"),
 ])
 def test_exit_3_on_wrongly_typed_text(tmp_path, capsys, task, extra, key):
@@ -204,6 +211,23 @@ def test_exit_3_on_wrongly_typed_text(tmp_path, capsys, task, extra, key):
     diagnostic = json.loads(capsys.readouterr().err.strip())
     assert diagnostic["error"] == "ValidationError"
     assert key in diagnostic["message"]
+
+
+@pytest.mark.parametrize("extra, key", [
+    pytest.param(dict(rabi_khz="fast"), "rabi_khz", id="rabi_khz-text"),
+    pytest.param(dict(n_restarts=None), "n_restarts", id="n_restarts-null"),
+    pytest.param(dict(gas="H2"), "gas", id="gas-unknown"),
+])
+def test_exit_3_on_a_lifetime_key_it_does_not_read(tmp_path, capsys, extra, key):
+    """Every given key is checked when the config loads, not when a task
+    reads it; gas is no longer a key (the background gas is H2)."""
+    path = write_config(tmp_path / "cfg.json", n_ions=4, depth_mk=1.0, **extra)
+    out = tmp_path / "out"
+    assert cli.main(["lifetime", "--config", path, "--out", str(out)]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert key in diagnostic["message"]
+    assert not out.exists()
 
 
 def test_exit_3_on_negative_command_line_seed(tmp_path, capsys):
@@ -274,6 +298,45 @@ def test_transition_scan_without_fit_writes_points(tmp_path):
     rows = read_csv(out / "transition_points.csv")
     assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4"]
     assert rows[1][2:4] == ["inf", "0.0"]
+
+
+@pytest.mark.parametrize("n_ions_list", [[5, 5, 5], [5, 5, 6]])
+def test_transition_scan_with_two_distinct_n_writes_no_fit(tmp_path, n_ions_list):
+    """Three points at two distinct N do not determine a power law."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions_list=n_ions_list, n_restarts=4)
+    out = tmp_path / "out"
+    assert cli.main(["transition-scan", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [Path(p).name for p in manifest["outputs"]] == ["transition_points.csv"]
+    assert manifest["warnings"] == [
+        "power-law fit skipped: FitError: need at least 3 distinct N"
+    ]
+    assert len(read_csv(out / "transition_points.csv")) == 1 + 3
+
+
+YB171 = json.loads((Path(cv.__file__).parent / "data" / "yb171.json").read_text())
+
+
+@pytest.mark.parametrize("species_data, key", [
+    pytest.param(dict(YB171, mass_amu="x"), "mass_amu", id="mass_amu-text"),
+    pytest.param(dict(YB171, mass_amu=math.nan), "mass_amu", id="mass_amu-nan"),
+    pytest.param(dict(YB171, lines=5), "lines", id="lines-number"),
+    pytest.param([YB171], None, id="top-level-list"),
+    pytest.param(dict(YB171, lines=[dict(YB171["lines"][0], wavelength_nm=0)]),
+                 "wavelength_nm", id="wavelength_nm-zero"),
+])
+def test_exit_3_on_malformed_species_file(tmp_path, capsys, species_data, key):
+    """A malformed species file is a ValidationError naming the file and the
+    key, not a TypeError or ZeroDivisionError from the arithmetic, nor a
+    NaN mass that fails only when a task writes its JSON."""
+    species_file = tmp_path / "species.json"
+    species_file.write_text(json.dumps(species_data))
+    cfg = write_config(tmp_path / "cfg.json", n_ions=2, species_file=str(species_file))
+    assert cli.main(["equilibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert str(species_file) in diagnostic["message"]
+    assert key is None or repr(key) in diagnostic["message"]
 
 
 def test_exit_4_on_compute_failure(tmp_path, capsys):
@@ -416,6 +479,9 @@ LIGHT_VALUES = dict(depth_mk=0.5, omega_z_mhz=2.0, intensity_w_m2=1.16e12, power
     pytest.param("lifetime", dict(LIGHT_VALUES), list(LIGHT_VALUES), id="all-light"),
     pytest.param("spin", dict(omega_z_mhz=2.0, mu_mhz=1.0, mu_over_max=1.002),
                  ["mu_mhz", "mu_over_max"], id="mu_mhz+mu_over_max"),
+    *(pytest.param(task, dict(depth_mk=0.5, mu_mhz=1.0, mu_over_max=1.002),
+                   ["mu_mhz", "mu_over_max"], id=f"mu_mhz+mu_over_max-{task}")
+      for task in ("lifetime", "equilibrate", "table-one")),
     pytest.param("modes", dict(omega_x_mhz=0.5), ["omega_x_mhz"], id="omega_x_mhz"),
 ])
 def test_exit_3_on_two_alternative_keys(tmp_path, capsys, task, extra, keys):
@@ -470,6 +536,34 @@ def test_waist_rule_returns_its_root(n, table_one_crystals, bare_trap_100, speci
     limit = 1.0 + cli.WAIST_RULE_TOL
     assert abs(_alpha_ratio(eq, bare_trap_100, species, w0) - limit) <= 1e-9
     assert _alpha_ratio(eq, bare_trap_100, species, 0.99 * w0) > limit
+
+
+@pytest.mark.parametrize("n", cli.TABLE_ONE_N)
+def test_waist_rule_solves_each_waist_once(n, table_one_crystals, bare_trap_100, species,
+                                           monkeypatch):
+    """No waist is solved twice, and the waist is the one the rule's loop
+    and brentq give without a memo."""
+    eq = table_one_crystals[n]
+    limit = (1.0 + cli.WAIST_RULE_TOL) * cv.alpha_tr_uniform(eq, bare_trap_100, species)
+
+    def excess(factor):
+        w0 = factor * eq.r_max
+        return cv.find_alpha_tr(eq, bare_trap_100.with_waist(w0), species).alpha_tr - limit
+
+    lo = hi = 1.5
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    expected = (hi if lo == hi else brentq(excess, lo, hi)) * eq.r_max
+
+    waists = []
+
+    def counted(eq, trap, species):
+        waists.append(trap.optical.waist)
+        return cv.find_alpha_tr(eq, trap, species)
+
+    monkeypatch.setattr(cli, "find_alpha_tr", counted)
+    assert cli._select_waist(eq, bare_trap_100, species) == expected
+    assert len(waists) >= 3 and len(set(waists)) == len(waists)
 
 
 @pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
@@ -636,5 +730,11 @@ def test_console_script_smoke(tmp_path):
 
 
 def test_readme_lists_every_config_key():
+    """Every key is in the README, and every key row of its config table is
+    a key, so a removed key cannot stay in the docs."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [key for key in cli.CONFIG_TABLE if f"`{key}`" not in readme] == []
+    table = readme.split("| key | unit | type | default | tasks |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert len(rows) == len(cli.CONFIG_TABLE)
+    assert [key for key in rows if key not in cli.CONFIG_TABLE] == []

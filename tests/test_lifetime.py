@@ -5,6 +5,7 @@ import pytest
 import scipy.constants as sc
 
 import cavitrap as cv
+from cavitrap.lifetime import H2_MASS, H2_POLARIZABILITY
 
 OMEGA_1064 = 2.0 * math.pi * sc.c / 1064e-9
 
@@ -95,42 +96,35 @@ def test_scattering_validation(species):
         )
 
 
-def test_load_gas_hydrogen():
-    gas = cv.load_gas("H2")
-    assert gas.label == "H2"
-    assert gas.mass == pytest.approx(2.0 * sc.atomic_mass, rel=1e-9)
-    assert gas.polarizability == pytest.approx(
+def test_h2_constants():
+    assert H2_MASS == pytest.approx(2.0 * sc.atomic_mass, rel=1e-9)
+    assert H2_POLARIZABILITY == pytest.approx(
         4.0 * math.pi * sc.epsilon_0 * 0.787e-30, rel=1e-12
     )
-    with pytest.raises(cv.ValidationError) as err:
-        cv.load_gas("He")
-    assert "H2" in str(err.value)
 
 
 def test_langevin_rate_value(species):
-    gas = cv.load_gas("H2")
-    rate = cv.langevin_rate(1e-9, 300.0, gas.polarizability, gas.mass, species)
-    mu_red = gas.mass * species.mass / (gas.mass + species.mass)
+    rate = cv.langevin_rate(1e-9, 300.0, H2_POLARIZABILITY, H2_MASS, species)
+    mu_red = H2_MASS * species.mass / (H2_MASS + species.mass)
     expect = (
         1e-9 / (sc.k * 300.0)
         * sc.e / (2.0 * sc.epsilon_0)
-        * math.sqrt(gas.polarizability / mu_red)
+        * math.sqrt(H2_POLARIZABILITY / mu_red)
     )
     assert rate == pytest.approx(expect, rel=1e-12)
     # about 1.3 collisions per hour per ion at 1e-9 Pa room temperature
     assert rate * 3600.0 == pytest.approx(1.2843, abs=2e-4)
     with pytest.raises(cv.DomainError):
-        cv.langevin_rate(1e-9, 0.0, gas.polarizability, gas.mass, species)
+        cv.langevin_rate(1e-9, 0.0, H2_POLARIZABILITY, H2_MASS, species)
     with pytest.raises(cv.DomainError):
-        cv.langevin_rate(-1e-9, 300.0, gas.polarizability, gas.mass, species)
+        cv.langevin_rate(-1e-9, 300.0, H2_POLARIZABILITY, H2_MASS, species)
 
 
 def test_langevin_rate_pressure_scaling(species):
-    gas = cv.load_gas("H2")
-    r1 = cv.langevin_rate(1e-9, 300.0, gas.polarizability, gas.mass, species)
+    r1 = cv.langevin_rate(1e-9, 300.0, H2_POLARIZABILITY, H2_MASS, species)
     for factor in (0.0, 3.0, 10.0):
         scaled = cv.langevin_rate(
-            factor * 1e-9, 300.0, gas.polarizability, gas.mass, species
+            factor * 1e-9, 300.0, H2_POLARIZABILITY, H2_MASS, species
         )
         assert scaled == pytest.approx(factor * r1, rel=1e-14, abs=0.0)
 

@@ -181,6 +181,10 @@ def test_fit_power_law_errors():
         cv.fit_power_law([(10, 1.0), (20, 1.2)])
     with pytest.raises(cv.FitError):
         cv.fit_power_law([(10, 1.0), (20, -1.2), (30, 1.4)])
+    # three points at fewer than three distinct N determine no power law
+    for points in ([(5, 1.0), (5, 1.0), (5, 1.0)], [(5, 1.0), (5, 1.1), (6, 1.2)]):
+        with pytest.raises(cv.FitError, match="3 distinct N"):
+            cv.fit_power_law(points)
 
 
 def test_transition_scan_points(bare_trap_100, species):
