@@ -32,8 +32,11 @@ from scipy.optimize import brentq
 
 from . import __version__
 from .core import (
+    ANTINODE_COS2,
     CONST,
+    NODE_SIN2,
     OpticalTrapConfig,
+    _unique_keys,
     depth_for_aspect,
     intensity_for_depth,
     intensity_from_power,
@@ -89,7 +92,7 @@ CONFIG_TABLE = {
     "anisotropy": (NUMBER, 0.0),             # omega_y / omega_x - 1
     "wavelength_nm": (NUMBER, 1064.0),       # nm
     "waist_um": (NUMBER, 100.0),             # um
-    "lattice_variant": (TEXT, "node_sin2"),  # node_sin2 | antinode_cos2
+    "lattice_variant": (TEXT, None),         # checked: the light shift's sign picks it
     "finesse": (NUMBER, 3000.0),
     # light keys: at most one of the next four (_LIGHT_KEYS)
     "depth_mk": (NUMBER, None),              # mK, optical depth
@@ -187,7 +190,7 @@ class RunManifest:
 
 def load_config(path):
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     return cfg
@@ -231,16 +234,21 @@ def _fmt(x):
 
 def _build_trap(cfg, species):
     """TrapConfig from laboratory-unit config keys; the depth is _optical_depth's."""
-    omega_r = cfg.read("omega_r_mhz") * MHZ
-    anisotropy = cfg.read("anisotropy")
+    wavelength = cfg.read("wavelength_nm") * 1e-9
+    kappa = stark_coefficient(species, _laser_omega(wavelength))
+    variant = ANTINODE_COS2 if kappa > 0 else NODE_SIN2  # where U = -kappa I holds the ion
+    if cfg.read("lattice_variant", variant) != variant:
+        raise ValidationError(
+            f"config key 'lattice_variant' is {cfg.given['lattice_variant']!r}, but "
+            f"{wavelength * 1e9:g} nm light holds the plane only in {variant!r}")
     optical = OpticalTrapConfig(
-        wavelength=cfg.read("wavelength_nm") * 1e-9,
+        wavelength=wavelength,
         waist=cfg.read("waist_um") * 1e-6,
         depth=0.0,
-        lattice_variant=cfg.read("lattice_variant"),
+        lattice_variant=variant,
         finesse=cfg.read("finesse"),
     )
-    trap = make_trap(omega_r, optical, anisotropy)
+    trap = make_trap(cfg.read("omega_r_mhz") * MHZ, optical, cfg.read("anisotropy"))
     return trap.with_depth(_optical_depth(cfg, trap, species)[0])
 
 
@@ -264,7 +272,7 @@ def _optical_depth(cfg, trap, species):
     intensity = value
     if key == "power_w":
         intensity = intensity_from_power(value, trap.optical.finesse, trap.optical.waist)
-    return trap_depth(species, _laser_omega(trap), intensity), intensity
+    return trap_depth(species, _laser_omega(trap.optical.wavelength), intensity), intensity
 
 
 def _equilibria(n, cfg, trap, species, seed):
@@ -274,8 +282,8 @@ def _equilibria(n, cfg, trap, species, seed):
     )
 
 
-def _laser_omega(trap):
-    return 2.0 * math.pi * CONST.speed_of_light / trap.optical.wavelength
+def _laser_omega(wavelength):
+    return 2.0 * math.pi * CONST.speed_of_light / wavelength
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +491,7 @@ def _task_spin(cfg, trap, species, seed):
 
 def _task_lifetime(cfg, trap, species, seed):
     n = cfg.read("n_ions")
-    omega_l = _laser_omega(trap)
+    omega_l = _laser_omega(trap.optical.wavelength)
     if _one_of(cfg, _LIGHT_KEYS) is None:
         raise ValidationError(f"lifetime task needs one of {list(_LIGHT_KEYS)}")
     intensity = _optical_depth(cfg, trap, species)[1]
@@ -562,8 +570,7 @@ def _task_table_one(cfg, trap, species, seed):
     explicit = cfg.read("waists_um")
     if explicit is not None and len(explicit) != len(TABLE_ONE_N):
         raise ValidationError("waists_um must list one waist per N in (5,10,20,30)")
-    omega_l = _laser_omega(trap)
-    stark_coefficient(species, omega_l)  # a resonant laser fails the task, not each N
+    omega_l = _laser_omega(trap.optical.wavelength)
     columns = {}
     warnings = []
     for idx, n in enumerate(TABLE_ONE_N):

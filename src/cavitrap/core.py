@@ -96,6 +96,14 @@ class IonSpecies:
             raise ValidationError("branch_ratio_meta must lie in [0, 1]")
 
 
+def _unique_keys(pairs):
+    """A json object_pairs_hook: the object, or a ValidationError naming a repeated key."""
+    for i, (key, _) in enumerate(pairs):
+        if key in dict(pairs[:i]):
+            raise ValidationError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
 def load_species(source):
     """Build an IonSpecies from a JSON file path or a shipped data name.
 
@@ -108,14 +116,11 @@ def load_species(source):
         raise ValidationError(f"species source must be a name or a path, got {source!r}")
     try:
         path = resources.files("cavitrap.data").joinpath(f"{source}.json")
-        if path.is_file():
-            raw = json.loads(path.read_text())
-        else:
-            with open(source) as fh:
-                raw = json.load(fh)
+        with path.open() if path.is_file() else open(source) as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"cannot read species data {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, ValidationError) as exc:  # ValidationError: a repeated key
         raise ValidationError(f"species file {source!r} is not valid JSON: {exc}") from exc
 
     def number(entry, key, default=None, positive=False):
@@ -172,9 +177,10 @@ class OpticalTrapConfig:
     """Cavity standing-wave parameters.
 
     lattice_variant selects the axial phase of the lattice: node_sin2 puts
-    the z=0 plane at an intensity node (the standing-wave potential as a
-    sin^2 well of depth U above zero), antinode_cos2 puts it at an antinode
-    (a -U cos^2 well). Both give the same axial curvature at z=0.
+    the z=0 plane at an intensity node (a sin^2 well of depth U above zero),
+    which only blue-detuned light holds (stark_coefficient < 0); antinode_cos2
+    puts it at an antinode (a -U cos^2 well), which only red-detuned light
+    holds (> 0). Both give the same axial curvature at z=0.
     """
 
     wavelength: float                  # m
@@ -286,32 +292,33 @@ def _line_factors(species, omega_l):
 
 
 def stark_coefficient(species, omega_l):
-    """AC Stark shift magnitude per unit intensity, J per (W/m^2).
+    """Signed AC Stark shift per unit intensity kappa, J per (W/m^2).
 
-    Sum of the two-level dispersive shifts over the listed lines (with
-    weights, keeping the counter-rotating term) plus the quasi-static
-    polarizability offset.
+    Sum of the two-level dispersive shifts over the listed lines (with weights,
+    keeping the counter-rotating term) plus the quasi-static polarizability
+    offset. The light shift is U = -kappa I (Grimm et al., Adv. At. Mol. Opt.
+    Phys. 42, 95 (2000)): kappa > 0 draws the ion into the light, < 0 out of it.
     """
     c = CONST.speed_of_light
     total = 0.0
     for weight, wa, dispersion in _line_factors(species, omega_l):
         total += weight * (3.0 * math.pi * c**2 / (2.0 * wa**3)) * dispersion
     total += species.polarizability_offset / (2.0 * CONST.vacuum_permittivity * c)
-    return abs(total)
+    return total
 
 
 def trap_depth(species, laser_angular_frequency, i_max):
     """Magnitude of the maximum AC Stark shift at intensity i_max, in J."""
     if i_max < 0:
         raise DomainError("intensity must be nonnegative")
-    return stark_coefficient(species, laser_angular_frequency) * i_max
+    return abs(stark_coefficient(species, laser_angular_frequency)) * i_max
 
 
 def intensity_for_depth(species, laser_angular_frequency, depth):
     """Peak intensity whose AC Stark shift is depth (J); inverts trap_depth."""
     if depth < 0:
         raise DomainError("trap depth is a magnitude, must be >= 0")
-    return depth / stark_coefficient(species, laser_angular_frequency)
+    return depth / abs(stark_coefficient(species, laser_angular_frequency))
 
 
 def effective_frequencies(trap, species):

@@ -140,16 +140,17 @@ def waist_sweep(n_ions, trap, species, w0_values, n_restarts=12, seed=0):
     """alpha_tr versus waist; per-point toolkit errors are recorded, not raised.
 
     Returns a list of (w0, TransitionPoint or None, error message or None).
-    For the node_sin2 lattice the planar equilibrium is waist independent
-    (the plane is dark), so it is solved once, at the first waist whose
+    Where the plane is dark (node_sin2, or zero depth) the planar equilibrium
+    is waist independent, so it is solved once, at the first waist whose
     search succeeds, and reused.
     """
     records = []
     eq = None
+    lit = trap.optical.lattice_variant == ANTINODE_COS2 and trap.optical.depth > 0.0
     for w0 in w0_values:
         trap_w = trap.with_waist(w0)
         try:
-            if eq is None or trap.optical.lattice_variant == ANTINODE_COS2:
+            if eq is None or lit:
                 eq = find_equilibria(
                     n_ions, trap_w, species, n_restarts=n_restarts, seed=seed
                 )[0]

@@ -230,6 +230,68 @@ def test_exit_3_on_a_lifetime_key_it_does_not_read(tmp_path, capsys, extra, key)
     assert not out.exists()
 
 
+def test_exit_3_on_a_repeated_config_key(tmp_path, capsys):
+    """A key given twice is an error naming it, not a silent last value."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"task": "lifetime", "n_ions": 10, "depth_mk": 0.5, "depth_mk": 5.0}')
+    out = tmp_path / "out"
+    assert cli.main(["lifetime", "--config", str(path), "--out", str(out)]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    assert "'depth_mk'" in diagnostic["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, variant", [
+    ({}, cv.ANTINODE_COS2),
+    (dict(wavelength_nm=360.0), cv.NODE_SIN2),
+])
+def test_light_shift_sign_picks_the_lattice(species, extra, variant):
+    """U = -kappa I: 1064 nm light (kappa > 0) holds the plane at an
+    antinode, 360 nm light (kappa < 0) at a node."""
+    assert cli._build_trap(cli.Config(extra), species).optical.lattice_variant == variant
+
+
+def test_manifest_hashes_the_lattice_the_run_used(tmp_path):
+    """Spelling out the lattice the light picks leaves the config hash as it is."""
+    hashes = []
+    for extra in ({}, dict(lattice_variant="antinode_cos2")):
+        cfg = write_config(tmp_path / "cfg.json", task="lifetime", n_ions=10,
+                           depth_mk=0.5, **extra)
+        hashes.append(cli.run(cfg, out_dir=str(tmp_path / "out")).config_hash)
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("extra, required", [
+    (dict(lattice_variant="node_sin2"), "antinode_cos2"),
+    (dict(lattice_variant="antinode_cos2", wavelength_nm=360.0), "node_sin2"),
+    (dict(lattice_variant="node"), "antinode_cos2"),
+])
+def test_exit_3_on_a_lattice_the_light_cannot_hold(tmp_path, capsys, extra, required):
+    cfg = write_config(tmp_path / "cfg.json", n_ions=4, n_restarts=2, **extra)
+    out = tmp_path / "out"
+    assert cli.main(["equilibrate", "--config", cfg, "--out", str(out)]) == 3
+    diagnostic = json.loads(capsys.readouterr().err.strip())
+    assert diagnostic["error"] == "ValidationError"
+    message = diagnostic["message"]
+    wavelength = f"{extra.get('wavelength_nm', 1064.0):g} nm"
+    for part in ("'lattice_variant'", repr(extra["lattice_variant"]), repr(required),
+                 wavelength):
+        assert part in message
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("task", ["equilibrate", "table-one"])
+def test_exit_3_on_a_resonant_wavelength(tmp_path, capsys, task):
+    """Every task reads the light shift to pick the lattice, so a laser on
+    the 369.52 nm line fails before any search."""
+    cfg = write_config(tmp_path / "cfg.json", n_ions=4, n_restarts=2, wavelength_nm=369.52)
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", cfg, "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ResonanceError"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_exit_3_on_negative_command_line_seed(tmp_path, capsys):
     path = write_config(tmp_path / "cfg.json", n_ions=4, n_restarts=4)
     argv = ["equilibrate", "--config", path, "--seed", "-3", "--out", str(tmp_path)]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -80,11 +81,32 @@ def test_species_validation():
 
 def test_stark_coefficient_value(species):
     # regression value for 171Yb+ at 1064 nm, checked in-band against the
-    # published depth/intensity columns by the acceptance suite
+    # published depth/intensity columns by the acceptance suite; abs=0, as
+    # approx's default absolute tolerance of 1e-12 would pass any kappa
     kappa = cv.stark_coefficient(species, OMEGA_1064)
-    assert kappa == pytest.approx(2.0589e-37, rel=2e-3)
-    # red detuning on both lines plus a positive offset: attractive well
+    assert kappa == pytest.approx(2.0589e-37, rel=2e-3, abs=0)
+    # U = -kappa I. Red detuning on both lines plus a positive offset: the
+    # ion is drawn into the light. 360 nm is blue of the 369.52 nm line,
+    # which pushes the ion out of it; the depth is the magnitude
     assert kappa > 0
+    omega_360 = 2.0 * math.pi * cv.CONST.speed_of_light / 360e-9
+    assert cv.stark_coefficient(species, omega_360) == pytest.approx(-3.987e-37, rel=1e-3, abs=0)
+    assert cv.trap_depth(species, omega_360, 1e12) == pytest.approx(3.987e-25, rel=1e-3, abs=0)
+
+
+def test_species_file_rejects_a_repeated_key(tmp_path):
+    """A key given twice in one object, at the top or in a line, is an error
+    naming the file and the key, not a silent last value."""
+    text = (Path(cv.__file__).parent / "data" / "yb171.json").read_text()
+    for old, new, key in (
+        ('"mass_amu": 171.0,', '"mass_amu": 171.0, "mass_amu": 1.0,', "mass_amu"),
+        ('"weight": 0.3333333333333333}', '"weight": 1, "weight": 0.3333333333333333}',
+         "weight"),
+    ):
+        path = tmp_path / f"{key}.json"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(cv.ValidationError, match=f"{path}.*'{key}'"):
+            cv.load_species(str(path))
 
 
 def test_stark_resonance_guard(species):
@@ -125,7 +147,7 @@ def test_power_for_intensity_domain():
             cv.power_for_intensity(i_max, finesse, w0)
 
 
-@pytest.mark.parametrize("wavelength", [532e-9, 1064e-9, 1560e-9])
+@pytest.mark.parametrize("wavelength", [360e-9, 532e-9, 1064e-9, 1560e-9])
 def test_intensity_for_depth_inverts_trap_depth(species, wavelength):
     omega_l = 2.0 * math.pi * cv.CONST.speed_of_light / wavelength
     for i_max in (0.0, 1.16e12, 3.7e9, 8.9e14):

@@ -64,15 +64,18 @@ def test_one_line_species_closed_forms():
     wa, ga = 2.0 * math.pi * sc.c / 369.5e-9, 2.0 * math.pi * 19.6e6
     one_line = cv.IonSpecies(mass=171 * sc.atomic_mass, lines=(cv.AtomicLine(wa, ga),),
                              branch_ratio_meta=0.005, metastable_lifetime=0.05)
-    wl, intensity = OMEGA_1064, 1.16e12
-    disp = ga / (wa - wl) + ga / (wa + wl)
-    assert cv.stark_coefficient(one_line, wl) == pytest.approx(
-        3.0 * math.pi * sc.c**2 / (2.0 * wa**3) * disp, rel=1e-12)
-    gamma_off, gamma_meta = cv.scattering_rates(one_line, wl, intensity)
-    assert gamma_off == pytest.approx(
-        3.0 * math.pi * sc.c**2 / (2.0 * sc.hbar * wa**3) * (wl / wa) ** 3
-        * disp**2 * intensity, rel=1e-12)
-    assert gamma_meta == pytest.approx(0.005 * gamma_off, rel=1e-15)
+    intensity = 1.16e12
+    for wl in (OMEGA_1064, 2.0 * math.pi * sc.c / 300e-9):  # red, then blue of the line
+        disp = ga / (wa - wl) + ga / (wa + wl)
+        kappa = cv.stark_coefficient(one_line, wl)
+        assert kappa == pytest.approx(3.0 * math.pi * sc.c**2 / (2.0 * wa**3) * disp,
+                                      rel=1e-12, abs=0)
+        assert (kappa > 0) == (wl < wa)
+        gamma_off, gamma_meta = cv.scattering_rates(one_line, wl, intensity)
+        assert gamma_off == pytest.approx(
+            3.0 * math.pi * sc.c**2 / (2.0 * sc.hbar * wa**3) * (wl / wa) ** 3
+            * disp**2 * intensity, rel=1e-12)
+        assert gamma_meta == pytest.approx(0.005 * gamma_off, rel=1e-15)
 
 
 def test_resonance_error_names_the_line(species):

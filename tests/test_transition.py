@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import cavitrap as cv
+from cavitrap import transition
 
 OMEGA_R = 2.0 * math.pi * 0.5e6
 
@@ -211,6 +213,28 @@ def test_waist_sweep_records_bracket_error_and_continues(bare_trap_21, species):
     (_, narrow, narrow_error), (_, wide, wide_error) = records
     assert narrow is None and narrow_error.startswith("BracketError")
     assert wide_error is None and wide.alpha_tr > 0
+
+
+@pytest.mark.parametrize("variant, depth_mk, searches", [
+    (cv.NODE_SIN2, 0.0, 1),
+    (cv.ANTINODE_COS2, 0.0, 1),
+    (cv.NODE_SIN2, 1.0, 1),
+    (cv.ANTINODE_COS2, 1.0, 3),
+])
+def test_waist_sweep_searches_again_only_where_the_plane_is_lit(
+        monkeypatch, bare_trap_21, species, variant, depth_mk, searches):
+    """A dark plane (a node, or no light) makes the crystal waist independent,
+    so one search serves every waist; a lit antinode plane needs one per waist."""
+    calls = []
+    search = transition.find_equilibria
+    monkeypatch.setattr(transition, "find_equilibria",
+                        lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    optical = dataclasses.replace(bare_trap_21.optical, lattice_variant=variant,
+                                  depth=depth_mk * 1e-3 * cv.CONST.boltzmann)
+    trap = dataclasses.replace(bare_trap_21, optical=optical)
+    records = cv.waist_sweep(6, trap, species, [15e-6, 21e-6, 40e-6], n_restarts=4)
+    assert [error for _, _, error in records] == [None] * 3
+    assert len(calls) == searches
 
 
 def test_bracket_error_when_no_transition(species):

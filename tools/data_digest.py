@@ -44,7 +44,8 @@ CONFIGS = {
                            mu_over_max_list=[1.01, 1.1, 2.0, 10.0]),
     "spin-n4": dict(task="spin", n_ions=4, omega_z_mhz=2.0),
     "modes-n10": dict(task="modes", n_ions=10, omega_z_mhz=2.0),
-    "waist-scan-node": dict(task="waist-scan", n_ions=10,
+    # 360 nm is blue of the 369.52 nm line, so the light holds the plane at a node
+    "waist-scan-node": dict(task="waist-scan", n_ions=10, wavelength_nm=360.0,
                             w0_values_um=[15.0, 21.0, 30.0, 60.0]),
     "waist-scan-antinode": dict(task="waist-scan", n_ions=10,
                                 lattice_variant="antinode_cos2", omega_z_mhz=2.0,
