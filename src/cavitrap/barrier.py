@@ -43,8 +43,8 @@ matches the other minimum onto the start, once, over the trap's symmetries
 (rotations and reflections in an isotropic trap, the four axis sign flips
 otherwise), so the walk ends at the same minimum in the start's frame.
 
-barrier_pair walks its paths in min(n_paths, CPUs) forked worker
-processes, the same map the equilibrium search runs its restarts on.
+barrier_pair walks its paths on the map the equilibrium search runs its
+restarts on: the caller beside min(n_paths, CPUs) - 1 forked children.
 Path k draws only from its own stream, equilibrium._stream(seed, k),
 so the paths and bounds are bitwise the same for any number of workers.
 """
@@ -349,8 +349,9 @@ def barrier_pair(eq_start, eq_other, params, trap, species):
     start once, over the trap's symmetries, and every path walks toward
     that aligned target.
 
-    The paths run on _in_workers' forked processes, so the result does not
-    depend on the worker count; the lowest failing path's error is raised.
+    The paths run on _in_workers, in the caller and its forked children,
+    so the result does not depend on the worker count; once every path has
+    run, the lowest failing path's error is raised.
     """
     target = _aligned_target(eq_start, eq_other, trap)
     walk = partial(optimize_path, eq_start, target, params, trap, species)

@@ -649,11 +649,11 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
         raise ValidationError(f"unknown task {task!r}; choose from {TASKS}")
     seed = cfg.read("seed")
     out = cfg.read("output_dir")
-    os.makedirs(out, exist_ok=True)
 
     species = load_species(cfg.read("species_file"))
     trap = _build_trap(cfg, species)
     files, warnings = _TASK_IMPL[task](cfg, trap, species, seed)
+    os.makedirs(out, exist_ok=True)  # only a run that writes makes it
     outputs = []
     for name, text in files:
         outputs.append(os.path.join(out, name))

@@ -3,9 +3,10 @@
 The search runs in scaled units (lengths over the Coulomb length ell,
 energies over e^2/(4 pi eps0 ell)) because SI crystal energies are ~1e-19 J
 and quasi-Newton stopping tests with absolute floors stall there. Each
-restart draws its own RNG stream from (seed, restart_index), and the
-restarts run in min(restarts, CPUs) forked worker processes whose outcomes
-are merged in index order, so the result does not depend on the CPU count.
+restart draws its own RNG stream from (seed, restart_index). The restarts
+run on _in_workers: the caller and min(restarts, CPUs) - 1 forked children
+take indices from one shared counter, and the outcomes are merged in index
+order, so the result does not depend on the CPU count.
 Two converged restarts are the same crystal exactly when their energies
 agree to ENERGY_MATCH_RTOL: the energy is invariant under rotation,
 reflection and relabeling, so no alignment is needed. Copies of one
@@ -18,7 +19,6 @@ import math
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -311,23 +311,74 @@ def _cpu_count():
 
 
 def _in_workers(fn, count):
-    """[fn(0), ..., fn(count - 1)] from min(count, CPUs) forked worker
-    processes. The error of the lowest failing index is raised, and no
-    worker outlives the call. The workers inherit the caller's BLAS pool
+    """[fn(0), ..., fn(count - 1)], run by the caller beside min(count, CPUs)
+    - 1 forked children. Each runner takes the next task index from one
+    shared counter until none is left; a child sends its (index, value or
+    exception) records back through a pipe when it runs out, and the
+    caller returns the values in index order. Once every task has run, the
+    error of the lowest failing index is raised; a task whose child exited
+    without reporting fails with the child's exit status. No child outlives
+    the call: if the caller's own task raises a BaseException, the children
+    are killed and reaped. The children inherit the caller's BLAS pool
     size, one thread unless the environment set another.
 
-    The calls run in the caller, one by one, for one worker, on a platform
+    The calls run in the caller, one by one, for one runner, on a platform
     without fork, or beside other threads: a forked child gets only the
     forking thread, and a lock another thread held stays locked.
     """
-    workers = min(count, _cpu_count())
-    if (workers == 1 or threading.active_count() > 1
+    runners = min(count, _cpu_count())
+    if (runners == 1 or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(k) for k in range(count)]
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = [pool.submit(fn, k) for k in range(count)]
-    return [f.result() for f in futures]
+    counter = context.Value("q", 0)
+
+    def run():
+        records = []
+        while True:
+            with counter.get_lock():
+                k = counter.value
+                counter.value = k + 1
+            if k >= count:
+                return records
+            try:
+                records.append((k, True, fn(k)))
+            except Exception as exc:
+                records.append((k, False, exc))
+
+    def child(writer):
+        writer.send(run())
+
+    children, died = [], []
+    try:
+        for _ in range(runners - 1):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=child, args=(writer,))
+            process.start()
+            writer.close()
+            children.append((process, reader))
+        records = run()
+        for process, reader in children:
+            try:
+                records += reader.recv()
+            except EOFError:  # the child exited before it reported
+                died.append(process)
+            process.join()
+    finally:
+        for process, reader in children:
+            if process.exitcode is None:
+                process.kill()
+                process.join()
+            reader.close()
+    done = {k: (ok, value) for k, ok, value in records}
+    for k in range(count):
+        if k not in done:
+            raise RuntimeError(f"a worker process exited with status "
+                               f"{died[0].exitcode} before it reported task {k}")
+        ok, value = done[k]
+        if not ok:
+            raise value
+    return [done[k][1] for k in range(count)]
 
 
 def _check_seed(seed):

@@ -218,27 +218,47 @@ def planar_energy(xy, trap, species):
     return planar_energy_gradient(xy, trap, species)[0]
 
 
+def _column_sums(block):
+    """Per-column sums of an (m, B) block, each rounded as numpy rounds the
+    sum of a contiguous row of m values: in order while m < 8 (numpy's
+    pairwise sum adds fewer than 8 elements one by one, as a sum down the
+    block does), else as rows of a transposed contiguous copy."""
+    if len(block) < 8:
+        return block.sum(axis=0)
+    return np.ascontiguousarray(block.T).sum(axis=1)
+
+
 def planar_energy_batch(xy_batch, trap, species):
     """planar_energy vectorized over rows of a (B, 2N) array.
 
-    The Coulomb sum runs over ion i, pairing it with ions j > i across all
-    rows at once on contiguous (B, N) x and y planes, so the largest
-    temporary is (B, N - 1) and memory grows as B*N, not B*N^2.
+    Works ion-major: x and y become contiguous (N, B) planes, and ion i's
+    partners j > i form one (N - 1 - i, B) block, so every pass runs over
+    all B samples and the largest temporaries are two (N - 1, B) buffers;
+    memory grows as B*N, not B*N^2. Each sample's sums keep the order of
+    a sum over a row of the row-major (B, N) layout, so every energy is
+    bitwise the one a loop over rows gives.
     """
     batch = np.asarray(xy_batch, dtype=float)
-    x = np.ascontiguousarray(batch[:, 0::2])
-    y = np.ascontiguousarray(batch[:, 1::2])
+    x = np.ascontiguousarray(batch[:, 0::2].T)
+    y = np.ascontiguousarray(batch[:, 1::2].T)
+    n = len(x)
     inv_r = np.zeros(len(batch))
-    for i in range(x.shape[1] - 1):
-        dx = x[:, i + 1 :] - x[:, i, None]
-        dy = y[:, i + 1 :] - y[:, i, None]
-        inv_r += np.sum(1.0 / np.sqrt(dx * dx + dy * dy), axis=1)
+    dx, dy = np.empty((2, max(n - 1, 0), len(batch)))
+    for i in range(n - 1):
+        bx, by = dx[: n - 1 - i], dy[: n - 1 - i]
+        np.subtract(x[i + 1 :], x[i], out=bx)
+        np.subtract(y[i + 1 :], y[i], out=by)
+        bx *= bx
+        by *= by
+        bx += by
+        np.sqrt(bx, out=bx)
+        inv_r += _column_sums(np.divide(1.0, bx, out=bx))
     e = CONST.coulomb_coefficient * inv_r
     m = species.mass
-    e += 0.5 * m * np.sum(trap.omega_x_dc**2 * x**2 + trap.omega_y_dc**2 * y**2, axis=1)
+    e += 0.5 * m * _column_sums(trap.omega_x_dc**2 * x**2 + trap.omega_y_dc**2 * y**2)
     planar_opt = _planar_optical(x, y, trap.optical)
     if planar_opt is not None:
-        e += np.sum(planar_opt[0], axis=1)
+        e += _column_sums(planar_opt[0])
     return e
 
 

@@ -6,8 +6,29 @@ import pytest
 # cavitrap sets its one-thread BLAS default before it imports numpy, so it
 # comes before any module that loads numpy
 import cavitrap as cv
+import numpy as np
 
 OMEGA_R = 2.0 * math.pi * 0.5e6
+
+_APPROX = pytest.approx
+
+
+def _approx_able_to_fail(expected, rel=None, abs=None, nan_ok=False):
+    """pytest.approx that fails when an expected value lies below its default
+    absolute tolerance, 1e-12, and no abs= is given: such a check passes any
+    actual value of SI size (a mass, an energy in J). State abs= or compare
+    scaled values."""
+    if abs is None:
+        values = np.abs(np.asarray(expected, dtype=float)).ravel()
+        if values.size and values.min() < 1e-12:
+            pytest.fail(f"pytest.approx({expected!r}) without abs= passes "
+                        "anything within 1e-12 of it", pytrace=False)
+    return _APPROX(expected, rel=rel, abs=abs, nan_ok=nan_ok)
+
+
+@pytest.fixture(autouse=True)
+def approx_able_to_fail(monkeypatch):
+    monkeypatch.setattr(pytest, "approx", _approx_able_to_fail)
 
 
 @pytest.fixture(autouse=True)

@@ -302,7 +302,7 @@ def test_propose_step_moves_closer(five_ion_pair, bare_trap_21, species):
     rng = np.random.default_rng(1)
     step, e_step = cv.propose_step(x, xf, params, rng, bare_trap_21, species)
     assert np.linalg.norm(step - xf) <= dist - d
-    assert e_step == pytest.approx(cv.planar_energy(step, bare_trap_21, species))
+    assert e_step == pytest.approx(cv.planar_energy(step, bare_trap_21, species), abs=0)
     rng2 = np.random.default_rng(1)
     step2, _ = cv.propose_step(x, xf, params, rng2, bare_trap_21, species)
     assert np.array_equal(step, step2)
@@ -340,7 +340,7 @@ def test_optimize_path_contract(five_ion_pair, bare_trap_21, species):
         five_ion_pair[0].xy_flat, five_ion_pair[1].xy_flat,
         params, bare_trap_21, species, path_index=0,
     )
-    assert path.energies[0] == pytest.approx(five_ion_pair[0].energy, rel=1e-9)
+    assert path.energies[0] == pytest.approx(five_ion_pair[0].energy, rel=1e-9, abs=0)
     assert path.peak_energy == max(path.energies)
     assert path.barrier_from_start == pytest.approx(
         (path.peak_energy - path.energies[0]) / KB
@@ -555,7 +555,7 @@ def test_barrier_pair_workers_match_serial_walks(five_ion_pair, bare_trap_21,
         if cpus == 1:
             assert pids == {os.getpid()}
         else:
-            assert os.getpid() not in pids and 1 < len(pids) <= cpus
+            assert os.getpid() in pids and 1 < len(pids) <= cpus
         assert len(result["paths"]) == params.n_paths
         for got, want in zip(result["paths"], serial):
             assert np.array_equal(got.points, want.points)

@@ -278,7 +278,7 @@ def test_exit_3_on_a_lattice_the_light_cannot_hold(tmp_path, capsys, extra, requ
     for part in ("'lattice_variant'", repr(extra["lattice_variant"]), repr(required),
                  wavelength):
         assert part in message
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task", ["equilibrate", "table-one"])
@@ -289,7 +289,7 @@ def test_exit_3_on_a_resonant_wavelength(tmp_path, capsys, task):
     out = tmp_path / "out"
     assert cli.main([task, "--config", cfg, "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ResonanceError"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_exit_3_on_negative_command_line_seed(tmp_path, capsys):
@@ -394,11 +394,13 @@ def test_exit_3_on_malformed_species_file(tmp_path, capsys, species_data, key):
     species_file = tmp_path / "species.json"
     species_file.write_text(json.dumps(species_data))
     cfg = write_config(tmp_path / "cfg.json", n_ions=2, species_file=str(species_file))
-    assert cli.main(["equilibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    out = tmp_path / "out"
+    assert cli.main(["equilibrate", "--config", cfg, "--out", str(out)]) == 3
     diagnostic = json.loads(capsys.readouterr().err.strip())
     assert diagnostic["error"] == "ValidationError"
     assert str(species_file) in diagnostic["message"]
     assert key is None or repr(key) in diagnostic["message"]
+    assert not out.exists()
 
 
 def test_exit_4_on_compute_failure(tmp_path, capsys):
@@ -555,7 +557,7 @@ def test_exit_3_on_two_alternative_keys(tmp_path, capsys, task, extra, keys):
     diagnostic = json.loads(capsys.readouterr().err.strip())
     assert diagnostic["error"] == "ValidationError"
     assert all(key in diagnostic["message"] for key in keys)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_one_alternative_key_with_the_others_null_runs(tmp_path):

@@ -11,14 +11,14 @@ OMEGA_1064 = 2.0 * math.pi * cv.CONST.speed_of_light / 1064e-9
 
 
 def test_constants():
-    assert cv.CONST.hbar == pytest.approx(1.054571817e-34, rel=1e-9)
+    assert cv.CONST.hbar == pytest.approx(1.054571817e-34, rel=1e-9, abs=0)
     kq = cv.CONST.elementary_charge**2 / (4 * math.pi * cv.CONST.vacuum_permittivity)
-    assert cv.CONST.coulomb_coefficient == pytest.approx(kq, rel=1e-15)
+    assert cv.CONST.coulomb_coefficient == pytest.approx(kq, rel=1e-15, abs=0)
 
 
 def test_species_data(species):
     assert species.label == "171Yb+"
-    assert species.mass == pytest.approx(171 * cv.CONST.atomic_mass_unit, rel=1e-12)
+    assert species.mass == pytest.approx(171 * cv.CONST.atomic_mass_unit, rel=1e-12, abs=0)
     assert len(species.lines) == 2
     wavelengths = sorted(
         2 * math.pi * cv.CONST.speed_of_light / l.transition_angular_frequency
@@ -28,7 +28,7 @@ def test_species_data(species):
     assert wavelengths[1] == pytest.approx(369.52e-9, rel=1e-6)
     assert species.branch_ratio_meta == pytest.approx(1 / 200)
     assert species.polarizability_offset == pytest.approx(
-        17.6 * ATOMIC_POLARIZABILITY_SI, rel=1e-12
+        17.6 * ATOMIC_POLARIZABILITY_SI, rel=1e-12, abs=0
     )
 
 
@@ -43,7 +43,7 @@ def test_species_file_roundtrip(tmp_path, species):
     path = tmp_path / "toy.json"
     path.write_text(json.dumps(payload))
     sp = cv.load_species(str(path))
-    assert sp.mass == pytest.approx(40 * cv.CONST.atomic_mass_unit)
+    assert sp.mass == pytest.approx(40 * cv.CONST.atomic_mass_unit, abs=0)
     assert sp.lines[0].weight == 1.0
     assert sp.polarizability_offset == 0.0
 
@@ -133,7 +133,7 @@ def test_intensity_from_power():
 def test_power_for_intensity_inverts_intensity_from_power(finesse, w0):
     for i_max in (0.0, 1.16e12, 3.7e9, 8.9e14):
         p_in = cv.power_for_intensity(i_max, finesse, w0)
-        assert cv.intensity_from_power(p_in, finesse, w0) == pytest.approx(i_max, rel=1e-15)
+        assert cv.intensity_from_power(p_in, finesse, w0) == pytest.approx(i_max, rel=1e-15, abs=0)
     for p_in in (0.31, 4.2e-3, 17.0):
         i_max = cv.intensity_from_power(p_in, finesse, w0)
         assert cv.power_for_intensity(i_max, finesse, w0) == pytest.approx(p_in, rel=1e-15)
@@ -153,11 +153,11 @@ def test_intensity_for_depth_inverts_trap_depth(species, wavelength):
     for i_max in (0.0, 1.16e12, 3.7e9, 8.9e14):
         depth = cv.trap_depth(species, omega_l, i_max)
         assert cv.intensity_for_depth(species, omega_l, depth) == pytest.approx(
-            i_max, rel=1e-15)
+            i_max, rel=1e-15, abs=0)
     for depth_mk in (0.05, 1.0, 430.0):
         depth = depth_mk * 1e-3 * cv.CONST.boltzmann
         i_max = cv.intensity_for_depth(species, omega_l, depth)
-        assert cv.trap_depth(species, omega_l, i_max) == pytest.approx(depth, rel=1e-15)
+        assert cv.trap_depth(species, omega_l, i_max) == pytest.approx(depth, rel=1e-15, abs=0)
 
 
 def test_intensity_for_depth_domain(species):
@@ -170,7 +170,7 @@ def test_intensity_for_depth_domain(species):
 def test_trap_depth_is_linear_in_intensity(species):
     d1 = cv.trap_depth(species, OMEGA_1064, 1e12)
     d2 = cv.trap_depth(species, OMEGA_1064, 2e12)
-    assert d2 == pytest.approx(2 * d1, rel=1e-12)
+    assert d2 == pytest.approx(2 * d1, rel=1e-12, abs=0)
 
 
 def test_laplace_constraint():
@@ -241,7 +241,7 @@ def test_characteristic_length(species):
     omega_r = 2 * math.pi * 0.5e6
     ell = cv.characteristic_length(species, omega_r)
     assert ell**3 * species.mass * omega_r**2 == pytest.approx(
-        cv.CONST.coulomb_coefficient, rel=1e-12
+        cv.CONST.coulomb_coefficient, rel=1e-12, abs=0
     )
     with pytest.raises(cv.DomainError):
         cv.characteristic_length(species, 0.0)

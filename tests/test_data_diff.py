@@ -1,8 +1,13 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
     "data_diff", Path(__file__).resolve().parents[1] / "tools" / "data_diff.py")
 data_diff = importlib.util.module_from_spec(_SPEC)
@@ -39,3 +44,26 @@ def test_one_ulp_and_text_differences(tmp_path, capsys):
 
     assert data_diff.main(tmp_path / "old", tmp_path / "old") == 0
     assert capsys.readouterr().out == ""
+
+
+def test_data_files_match_the_committed_digest(tmp_path):
+    """tools/data_digest.txt pins the bytes of every digest config's data
+    files, so a change that moves any shows as a diff of that file.
+
+    Its first line names the environment it was recorded in. Where this run's
+    environment (Python, numpy, scipy, their BLAS, the machine) differs, the
+    bytes may differ without a code change; the test then still runs, passes
+    when every digest matches, and otherwise reports an expected failure that
+    names both environments and the files that moved."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "tools/data_digest.py", str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    fresh = done.stdout.splitlines()
+    committed = (ROOT / "tools" / "data_digest.txt").read_text().splitlines()
+    moved = sorted({line.split()[-1] for line in set(fresh[1:]) ^ set(committed[1:])})
+    if moved and fresh[0] != committed[0]:
+        pytest.xfail(f"recorded on {committed[0][2:]}, run on {fresh[0][2:]}: "
+                     f"{len(moved)} data files differ: {moved}")
+    assert fresh[1:] == committed[1:], f"data files moved: {moved}"

@@ -126,7 +126,7 @@ def test_relax_keeps_minimum(eq10_21, bare_trap_21, species):
     eq = eq10_21[0]
     outcome, x, e, _ = equilibrium._relax(eq.xy_flat, bare_trap_21, species)
     assert outcome == equilibrium.CONVERGED
-    assert e == pytest.approx(eq.energy, rel=1e-12)
+    assert e == pytest.approx(eq.energy, rel=1e-12, abs=0)
     assert np.allclose(x, eq.xy_flat, rtol=0.0, atol=1e-6 * eq.d_min)
 
 
@@ -181,17 +181,83 @@ def _restart_failing(n_ions, trap, species, seed, index):
     return _ONE_RESTART(n_ions, trap, species, seed, index)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the restart pool needs the fork start method")
+def _slow_index_pid(index):
+    time.sleep(0.02)
+    return index, os.getpid()
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the restart pool needs the fork start method")
+
+
+@needs_fork
 def test_restarts_run_in_workers_in_index_order(monkeypatch):
+    """The caller runs tasks beside its one child, and the values come back
+    in index order."""
     monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
-    ran = equilibrium._in_workers(_index_pid, 9)
+    ran = equilibrium._in_workers(_slow_index_pid, 9)
     assert [k for k, _ in ran] == list(range(9))
-    assert os.getpid() not in {pid for _, pid in ran}
+    pids = {pid for _, pid in ran}
+    assert os.getpid() in pids and len(pids) == 2
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 1)
     ran = equilibrium._in_workers(_index_pid, 9)
     assert ran == [(k, os.getpid()) for k in range(9)]
+
+
+@needs_fork
+def test_many_small_tasks_share_one_counter(monkeypatch):
+    """20,000 indices, more than a 64 KiB pipe of 4-byte indices holds, on
+    more runners than CPUs: each task runs once, in index order."""
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 4)
+    ran = equilibrium._in_workers(_index_pid, 20000)
+    assert [k for k, _ in ran] == list(range(20000))
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_child_that_exits_without_reporting_raises(monkeypatch):
+    """A child that dies on its first task fails the call with its exit
+    status, after the caller has run the rest; no process is left."""
+    caller = os.getpid()
+
+    def task(index):
+        time.sleep(0.02)
+        if os.getpid() != caller:
+            os._exit(3)
+        return index
+
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="exited with status 3 before it reported task"):
+        equilibrium._in_workers(task, 6)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Stop(BaseException):
+    pass
+
+
+@needs_fork
+def test_a_base_exception_in_the_callers_task_leaves_no_child(monkeypatch):
+    """The caller's own task raising a BaseException kills and reaps the
+    children, which would otherwise sleep for a minute."""
+    caller = os.getpid()
+
+    def task(index):
+        if os.getpid() == caller:
+            raise _Stop
+        time.sleep(60.0)
+
+    monkeypatch.setattr(equilibrium, "_cpu_count", lambda: 3)
+    t0 = time.monotonic()
+    with pytest.raises(_Stop):
+        equilibrium._in_workers(task, 6)
+    assert time.monotonic() - t0 < 30.0
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_restarts_stay_in_process_beside_other_threads(monkeypatch):

@@ -3,14 +3,18 @@
     python tools/data_digest.py OUT
 
 runs each config below through cavitrap.cli.run into OUT/<config>/ and
-prints one line per data file, manifests excluded (they carry timings):
+prints a header line naming the environment (Python, numpy and scipy with
+their BLAS, the machine), then one line per data file, manifests excluded
+(they carry timings):
 
     <sha256>  <config>/<file>
 
 Two checkouts that write byte-identical data files print identical
 output, so `diff` of the two printouts is the byte-identity check. The
 cavitrap package is imported from the Python path, so
-`PYTHONPATH=<checkout>/src` picks the checkout to digest.
+`PYTHONPATH=<checkout>/src` picks the checkout to digest. data_digest.txt
+beside this script is the printout of the current tree, and
+tests/test_data_diff.py checks the tree against it.
 """
 
 import os
@@ -23,8 +27,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import platform  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
 
 from cavitrap import cli  # noqa: E402
 
@@ -57,8 +65,22 @@ CONFIGS = {
 }
 
 
+def _blas(package):
+    """The BLAS a package was built against, as its show_config names it."""
+    blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def environment():
+    """One line naming what the bytes depend on besides the code."""
+    return (f"python {platform.python_version()}, numpy {numpy.__version__} "
+            f"({_blas(numpy)}), scipy {scipy.__version__} ({_blas(scipy)}), "
+            f"{platform.system()} {platform.machine()}")
+
+
 def main(out):
     Path(out).mkdir(parents=True, exist_ok=True)
+    print(f"# {environment()}")
     for name, cfg in CONFIGS.items():
         path = Path(out) / f"{name}.json"
         path.write_text(json.dumps(cfg))
