@@ -26,11 +26,11 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import __version__
 from .core import (
     ANTINODE_COS2,
     CONST,
@@ -186,6 +186,20 @@ class RunManifest:
     wall_time_s: float
     outputs: tuple
     warnings: tuple
+
+
+@cache
+def _code_version():
+    """SHA-256 over the package's .py and data/*.json files, each as its path
+    in the package, its length and its bytes: which code wrote a manifest.
+    Read once per process, by the first run."""
+    package = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")) + sorted(package.glob("data/*.json")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def load_config(path):
@@ -663,7 +677,7 @@ def run(config_path, task=None, seed=None, threads=None, out_dir=None):
     del resolved["output_dir"]
     manifest = RunManifest(
         config_hash=config_hash(resolved),
-        code_version=__version__,
+        code_version=_code_version(),
         wall_time_s=time.monotonic() - start,
         outputs=tuple(outputs),
         warnings=tuple(warnings),

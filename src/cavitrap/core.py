@@ -176,17 +176,18 @@ ANTINODE_COS2 = "antinode_cos2"
 class OpticalTrapConfig:
     """Cavity standing-wave parameters.
 
-    lattice_variant selects the axial phase of the lattice: node_sin2 puts
-    the z=0 plane at an intensity node (a sin^2 well of depth U above zero),
-    which only blue-detuned light holds (stark_coefficient < 0); antinode_cos2
-    puts it at an antinode (a -U cos^2 well), which only red-detuned light
-    holds (> 0). Both give the same axial curvature at z=0.
+    lattice_variant, which every caller names, selects the axial phase of
+    the lattice: node_sin2 puts the z=0 plane at an intensity node (a sin^2
+    well of depth U above zero), which only blue-detuned light holds
+    (stark_coefficient < 0); antinode_cos2 puts it at an antinode (a -U cos^2
+    well), which only red-detuned light holds (> 0). Both give the same axial
+    curvature at z=0.
     """
 
     wavelength: float                  # m
     waist: float                       # m
     depth: float                       # J, magnitude of the maximum AC Stark shift
-    lattice_variant: str = NODE_SIN2
+    lattice_variant: str               # NODE_SIN2 or ANTINODE_COS2
     finesse: float = 3000.0
 
     def __post_init__(self):

@@ -130,9 +130,8 @@ def _pair_r(config):
     EquilibriumResult (kept) or of coordinates."""
     if isinstance(config, EquilibriumResult):
         return config._upper_r
-    xy = _xy(config)
-    _, r = _pair_distances(xy)
-    return r[np.triu_indices(len(xy), 1)]
+    _, r = _pair_distances(_xy(config))
+    return r[~np.tri(len(r), dtype=bool)]  # a mask: no two index arrays to build
 
 
 def _best_assignment(reference, candidates):

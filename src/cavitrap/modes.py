@@ -15,6 +15,7 @@ x y = 0 at every ion) is a zero column and labels no mode.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +56,26 @@ class ModeSpectrum:
         return len(self.omega)
 
     def select(self, which):
-        """Indices of modes in the given partition."""
-        return np.array([i for i, p in enumerate(self.partition) if p == which])
+        """Indices of modes in the given partition, read-only; the out-of-plane
+        set is computed once per spectrum."""
+        if which == OUT_OF_PLANE:
+            return self._out_of_plane
+        return _indices_of(self.partition, which)
+
+    @cached_property
+    def _out_of_plane(self):
+        return _indices_of(self.partition, OUT_OF_PLANE)
 
     def z_amplitudes(self, mode_index):
         """Per-ion z displacement pattern of an out-of-plane mode."""
         return self.vectors[2::3, mode_index]
+
+
+def _indices_of(partition, which):
+    """Read-only indices of the entries of partition equal to which."""
+    idx = np.array([i for i, p in enumerate(partition) if p == which], dtype=int)
+    idx.flags.writeable = False
+    return idx
 
 
 def _descending_eigh(a):
@@ -76,12 +91,14 @@ def normal_modes(eq, trap, species):
     m = species.mass
 
     z_block = _coulomb_z(eq) / m
-    z_block += np.diag(
+    z_block.flat[::n + 1] += (
         trap.optical.depth * optical_z_curvature(xy, trap.optical) / m
         - trap.omega_z_dc**2
     )
     w2_z, vec_z = _descending_eigh(z_block)
-    w2_xy, vec_xy = _descending_eigh(planar_hessian(xy.ravel(), trap, species) / m)
+    xy_block = planar_hessian(xy.ravel(), trap, species)
+    xy_block /= m
+    w2_xy, vec_xy = _descending_eigh(xy_block)
 
     vectors = np.zeros((3 * n, 3 * n))
     vectors[2::3, :n] = vec_z
@@ -146,37 +163,57 @@ def _overlaps(sub, b):
 def label_modes(spectrum, eq):
     """Attach COM/tilt/saddle labels to the out-of-plane modes.
 
-    Degenerate groups (frequencies within DEGENERACY_RTOL) are rotated to
-    the basis-overlap-maximizing orthogonal combination before labeling,
-    since individual eigenvectors of a degenerate pair are arbitrary.
+    A mode whose frequency no neighbour shares to DEGENERACY_RTOL takes the
+    first basis pattern its overlap squared exceeds LABEL_OVERLAP_THRESHOLD
+    for, with its sign turned to make that overlap positive; all such modes
+    are labelled in one array pass. Degenerate groups are rotated to the
+    basis-overlap-maximizing orthogonal combination before labeling, since
+    individual eigenvectors of a degenerate pair are arbitrary.
     Returns a new spectrum; in-plane modes keep label None.
     """
-    xy = _xy(eq)
-    basis = _label_basis(xy)
+    basis = _label_basis(_xy(eq))
     z_idx = spectrum.select(OUT_OF_PLANE)
-    vecs = spectrum.vectors.copy()
+    labels = [None] * spectrum.n_modes
 
-    groups = []
-    for i in z_idx:
-        if groups and abs(spectrum.omega[i] - spectrum.omega[groups[-1][-1]]) <= (
-            DEGENERACY_RTOL * max(spectrum.omega[i], spectrum.omega[groups[-1][-1]])
-        ):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    # group k starts at starts[k]; a mode joins its predecessor's group when
+    # their frequencies agree to DEGENERACY_RTOL
+    omega = spectrum.omega[z_idx]
+    joins = np.abs(np.diff(omega)) <= DEGENERACY_RTOL * np.maximum(omega[1:], omega[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], ~joins)))
+    sizes = np.diff(np.append(starts, len(omega)))
+
+    # a mode alone: _overlaps of a group of one sums a contiguous column of
+    # products, as a sum along a contiguous row does, and the Gram-Schmidt of
+    # one column scales it by ov / sqrt(ov ov). The basis is orthonormal, so
+    # at most four modes are named.
+    lone = z_idx[starts[sizes == 1]]
+    rows = spectrum.vectors[2::3][:, lone].T
+    products = np.empty(rows.shape)  # C order: one contiguous row per mode
+    ov = np.array([np.multiply(rows, b, out=products).sum(axis=1) for b in basis.T])
+    del rows, products  # before the full copy below
+    weight = ov * ov
+    hit = weight > LABEL_OVERLAP_THRESHOLD
+    named = hit.any(axis=0)
+    first = np.argmax(hit, axis=0)
+    for i, j, ok in zip(lone.tolist(), first.tolist(), named.tolist()):
+        labels[i] = _BASIS_LABELS[j] if ok else LABEL_OTHER
+
+    vecs = spectrum.vectors.copy()
+    pick = first[named], np.flatnonzero(named)
+    for i, scale in zip(lone[named], ov[pick] / np.sqrt(weight[pick])):
+        vecs[2::3, i] *= scale
 
     patterns = list(basis.T)
     overlap_floor = (LABEL_OVERLAP_THRESHOLD,) * len(patterns)
-    labels = [None] * spectrum.n_modes
-    for group in groups:
+    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        group = z_idx[start:start + size]
         sub = np.column_stack([vecs[2::3, i] for i in group])
-        rot = np.zeros((len(group), len(group)))
+        rot = np.zeros((size, size))
         # with nothing taken no mode of the group is labelled either: a single
         # mode's overlap with a basis vector is at most the group's weight
         taken = _gram_schmidt([_overlaps(sub, b) for b in patterns], overlap_floor, rot)
         if taken:
-            _gram_schmidt(np.eye(len(group)), (_INDEPENDENCE_RTOL**2,) * len(group),
-                          rot, len(taken))
+            _gram_schmidt(np.eye(size), (_INDEPENDENCE_RTOL**2,) * size, rot, len(taken))
             vecs[2::3, group] = sub @ rot
         for slot, i in enumerate(group):
             labels[i] = _BASIS_LABELS[taken[slot]] if slot < len(taken) else LABEL_OTHER

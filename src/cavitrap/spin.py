@@ -98,9 +98,9 @@ def compute_jij(spectrum, eq, drive):
     j *= drive.recoil_energy / CONST.hbar
     j = 0.5 * (j + j.T)  # kill the last-ulp asymmetry of the matmul
     np.fill_diagonal(j, 0.0)
-
-    iu = np.triu_indices(n_ions, 1)
-    return SpinGraph(j=j, af_fraction=float(np.mean(j[iu] > 0.0)))
+    # j is exactly symmetric: each positive pair counts twice
+    af_fraction = float(np.count_nonzero(j > 0.0) / (n_ions * (n_ions - 1)))
+    return SpinGraph(j=j, af_fraction=af_fraction)
 
 
 def fit_beta(graph, eq):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .core import ANTINODE_COS2, depth_for_aspect
 from .equilibrium import _coulomb_z, _xy, find_equilibria
@@ -48,11 +48,22 @@ class PowerLawFit:
 
 
 def _top_eigenvalue(m):
-    """Largest eigenvalue of the symmetric m (lower triangle), which it overwrites."""
+    """Largest eigenvalue of the symmetric m (lower triangle), which it
+    overwrites if m is in Fortran order; in C order LAPACK gets a copy.
+
+    Calls LAPACK dsyevr for eigenvalue n alone, with the arguments and
+    workspace scipy.linalg.eigvalsh(m, subset_by_index=(n - 1, n - 1)) passes,
+    so the value is that call's to the bit, without its per-call checks.
+    """
     n = len(m)
-    return scipy.linalg.eigvalsh(
-        m, subset_by_index=(n - 1, n - 1), overwrite_a=True, check_finite=False
-    )[0]
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    w, _, _, _, info = lapack.dsyevr(
+        m, compute_v=0, range="I", lower=1, il=n, iu=n,
+        lwork=int(lwork), liwork=liwork, overwrite_a=1,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return w[0]
 
 
 def find_alpha_tr(eq, trap, species):
@@ -69,7 +80,10 @@ def find_alpha_tr(eq, trap, species):
         )
     u0 = depth_for_aspect(trap, species, 0.0)
     u1 = depth_for_aspect(trap, species, 1.0) - u0
-    lhs = -_coulomb_z(eq)  # a fresh buffer, scaled in place and handed to LAPACK
+    # a fresh buffer, scaled in place and handed to LAPACK; the z block is
+    # exactly symmetric, so its transpose holds the same matrix in the
+    # Fortran order LAPACK takes without a copy
+    lhs = (-_coulomb_z(eq)).T
     lhs.flat[::n + 1] += species.mass * trap.omega_z_dc**2 - u0 * curv
     scale = 1.0 / np.sqrt(u1 * curv)
     lhs *= scale[:, None]
@@ -88,7 +102,7 @@ def alpha_tr_uniform(eq, trap, species):
     """Closed-form transition point in the uniform-waist (large w0) limit."""
     if len(_xy(eq)) == 1:
         return 0.0
-    lam_max = _top_eigenvalue(_coulomb_z(eq) / -species.mass)
+    lam_max = _top_eigenvalue((_coulomb_z(eq) / -species.mass).T)
     return math.sqrt(lam_max) / trap.omega_r
 
 
@@ -111,9 +125,10 @@ def _log_log_fit(x, y, x_name, y_name):
     gaps = np.diff(x_sorted) > DISTANCE_MATCH_RTOL * x_sorted[1:]
     if 1 + np.count_nonzero(gaps) < 3:
         raise FitError(f"need at least 3 distinct {x_name}")
+    log_y = np.log(y)
     design = np.column_stack([np.log(x), np.ones(len(x))])
-    coef, *_ = np.linalg.lstsq(design, np.log(y), rcond=None)
-    resid = design @ coef - np.log(y)
+    coef, *_ = np.linalg.lstsq(design, log_y, rcond=None)
+    resid = design @ coef - log_y
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2)))
 
 

@@ -5,12 +5,17 @@ Each test prints exactly one line,
     ACCEPTANCE <k> (<topic>): PASS|FAIL - <details>
 
 before asserting, so a plain `pytest -s tests/test_acceptance.py` gives a
-readable scorecard. Criterion 6 carries a known failing sub-band for the
-six-ion metastable barrier; see the README acceptance notes.
+readable scorecard. Each test also compares its figures at full precision
+with acceptance_scorecard.json beside this file (scorecard_moved), so drift
+inside a band shows as a diff of that file. Criterion 6 carries a known
+failing sub-band for the six-ion metastable barrier; see the README
+acceptance notes.
 """
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +41,40 @@ PUB_GAMMA_OFF = (2.8, 3.6, 4.7, 5.9)
 FINESSE = 3000.0
 
 
+SCORECARD = Path(__file__).with_name("acceptance_scorecard.json")
+_SPEC = importlib.util.spec_from_file_location(
+    "environment", Path(__file__).resolve().parents[1] / "tools" / "environment.py")
+_ENVIRONMENT = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_ENVIRONMENT)
+
+
 def report(k, topic, ok, detail):
     print(f"\nACCEPTANCE {k} ({topic}): {'PASS' if ok else 'FAIL'} - {detail}")
+
+
+def scorecard_moved(k, figures):
+    """Criterion k's figures (name -> number) against the committed scorecard,
+    at rel 1e-12 with no absolute slack; None when each one agrees.
+
+    In the environment the scorecard names, a moved, missing or extra figure
+    fails the test here. Elsewhere the bits may move without a code change,
+    so the message, naming both environments, is returned for the test to
+    xfail on once its bands are checked. The message carries the fresh
+    figures as JSON, ready for the file if the move is meant.
+    """
+    card = json.loads(SCORECARD.read_text())
+    want = card["criteria"][str(k)]
+    fresh = {name: float(value) for name, value in figures.items()}
+    moved = sorted(name for name in want.keys() | fresh.keys()
+                   if name not in want or name not in fresh
+                   or not math.isclose(fresh[name], want[name], rel_tol=1e-12, abs_tol=0.0))
+    if not moved:
+        return None
+    message = f"criterion {k} figures {moved} moved; now {json.dumps(fresh)}"
+    here = _ENVIRONMENT.environment()
+    if here == card["environment"]:
+        pytest.fail(message)
+    return f"recorded on {card['environment']}, run on {here}: {message}"
 
 
 def within(value, target, rel):
@@ -96,8 +133,12 @@ def test_criterion_1_transition_power_law(bare_trap_100, species):
         f"exponent {fit.exponent:.4f} (want 0.265 +- 0.03), "
         f"prefactor {fit.prefactor:.4f} (want 1.1 +- 0.15)",
     )
+    moved = scorecard_moved(1, dict(exponent=fit.exponent, prefactor=fit.prefactor,
+                                    residual=fit.residual))
     assert abs(fit.exponent - 0.265) <= 0.03
     assert abs(fit.prefactor - 1.1) <= 0.15
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_2_table_geometry(table_pipeline):
@@ -115,21 +156,33 @@ def test_criterion_2_table_geometry(table_pipeline):
         ok &= good
         details.append(f"N={n}: {list(rings)} r={r_um:.2f}um d={d_um:.2f}um")
     report(2, "Table I geometry", ok, "; ".join(details))
+    figures = {}
+    for n in TABLE_N:
+        eq = table_pipeline[n]["eq"]
+        figures[f"N{n} r_max_um"] = eq.r_max * 1e6
+        figures[f"N{n} d_min_um"] = eq.d_min * 1e6
+    moved = scorecard_moved(2, figures)
     for idx, n in enumerate(TABLE_N):
         eq = table_pipeline[n]["eq"]
         assert tuple(eq.ring_configuration) == PUB_RINGS[n]
         assert within(eq.r_max * 1e6, PUB_RADIUS_UM[idx], 0.05)
         assert within(eq.d_min * 1e6, PUB_SPACING_UM[idx], 0.05)
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_3_table_optics(table_pipeline, species):
     details, ok = [], True
     formula_ok = True
-    for idx in range(len(TABLE_N)):
+    figures = {}
+    for idx, n in enumerate(TABLE_N):
         i_formula = cv.intensity_from_power(
             PUB_POWER_W[idx], FINESSE, PUB_WAIST_UM[idx] * 1e-6
         )
         formula_ok &= within(i_formula, PUB_INTENSITY[idx], 0.03)
+        figures[f"N{n} intensity_formula_w_m2"] = i_formula
+        figures[f"N{n} depth_mk"] = table_pipeline[n]["depth_mk"]
+        figures[f"N{n} gamma_off_per_s"] = table_pipeline[n]["gamma_off"]
     depth_ok = all(
         within(table_pipeline[n]["depth_mk"], PUB_DEPTH_MK[i], 0.10)
         for i, n in enumerate(TABLE_N)
@@ -151,9 +204,12 @@ def test_criterion_3_table_optics(table_pipeline, species):
         + " +-25%)"
     )
     report(3, "Table I optics", ok, details)
+    moved = scorecard_moved(3, figures)
     assert formula_ok
     assert depth_ok
     assert gamma_ok
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_4_lifetime_identities(species):
@@ -167,8 +223,11 @@ def test_criterion_4_lifetime_identities(species):
         f"Gamma_meta {gamma_meta:.6g} 1/s (want 0.15), "
         f"tau(20) {tau20 * 1e3:.4g} ms (want 333.3)",
     )
+    moved = scorecard_moved(4, dict(gamma_meta_per_s=gamma_meta, tau20_s=tau20))
     assert gamma_meta == pytest.approx(0.15, rel=1e-12)
     assert tau20 == pytest.approx(1.0 / 3.0, rel=1e-12)
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_5_collision_and_recoil(species):
@@ -182,8 +241,11 @@ def test_criterion_5_collision_and_recoil(species):
         f"Langevin {rate_hr:.4f}/hr (want 1.3 +-10%), "
         f"recoil {e_rec_mk:.3e} mK (want 5e-5 +-5%)",
     )
+    moved = scorecard_moved(5, dict(langevin_per_hr=rate_hr, recoil_mk=e_rec_mk))
     assert within(rate_hr, 1.3, 0.10)
     assert within(e_rec_mk, 5e-5, 0.05)
+    if moved:
+        pytest.xfail(moved)
 
 
 BARRIER_CASES = {
@@ -226,11 +288,18 @@ def test_criterion_6_barriers(barrier_results):
             f"{'ok' if m_ok else 'MISS'})"
         )
     report(6, "inter-configuration barriers", ok, "; ".join(details))
+    figures = {}
+    for n, (b_s, b_m) in barrier_results.items():
+        figures[f"N{n} stable_mk"] = b_s
+        figures[f"N{n} metastable_mk"] = b_m
+    moved = scorecard_moved(6, figures)
     for n, s_ok, m_ok in checks:
         assert s_ok, f"N={n} stable barrier outside the +-40% band"
         # the six-ion metastable reference band sits above the exact
         # saddle height of this landscape; see README acceptance notes
         assert m_ok, f"N={n} metastable barrier outside the reference band"
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_7_mode_structure(bare_trap_21, bare_trap_100, species,
@@ -276,9 +345,12 @@ def test_criterion_7_mode_structure(bare_trap_21, bare_trap_100, species,
         f"{split_pct:.2f}% at 8% anisotropy (want 0.2-0.8); COM min/max "
         f"amplitude {ratio:.3f} at w0=21um (want 0.56 +- 0.05)",
     )
+    moved = scorecard_moved(7, dict(tilt_split_pct=split_pct, com_amplitude_ratio=ratio))
     assert labels_ok
     assert split_ok
     assert ratio_ok
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_8_spin_graph(spin_stage, species):
@@ -328,9 +400,14 @@ def test_criterion_8_spin_graph(spin_stage, species):
         f"{graph.af_fraction:.2f} (want 1.0); fitted beta spans "
         f"[{min(betas):.3f}, {max(betas):.3f}] (want <=0.15 and >=2.85)",
     )
+    moved = scorecard_moved(8, dict(brute_force_rel_err=brute_err,
+                                    af_fraction=graph.af_fraction,
+                                    beta_min=min(betas), beta_max=max(betas)))
     assert brute_ok
     assert af_ok
     assert range_ok
+    if moved:
+        pytest.xfail(moved)
 
 
 def test_criterion_9_property_suite(bare_trap_100, species, eq10_100,
@@ -415,5 +492,11 @@ def test_criterion_9_property_suite(bare_trap_100, species, eq10_100,
         f"shortcut {eig_err:.1e}; two-ion {two_err:.1e}; reruns identical "
         f"{rerun_ok}",
     )
+    moved = scorecard_moved(9, dict(gradient_fd_rel_err=grad_err,
+                                    orthonormality_err=ortho_err,
+                                    eigensolve_vs_shortcut_rel_err=eig_err,
+                                    two_ion_rel_err=two_err))
     assert grad_ok and sym_ok and decouple_ok
     assert ortho_ok and eig_ok and two_ok and rerun_ok
+    if moved:
+        pytest.xfail(moved)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -70,6 +71,40 @@ def test_outputs_exist_and_manifest_lists_them(equilibrate_run):
         assert (out / path.split("/")[-1]).exists()
     assert not list(out.glob("*.part"))
     assert not list(out.glob(".tmp_*"))
+
+
+def _source_hash(package):
+    """The manifest's code version written out afresh: SHA-256 over each .py
+    and data/*.json file of the package as path, length and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")) + sorted(package.glob("data/*.json")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def test_code_version_hashes_the_package_sources(equilibrate_run, tmp_path):
+    """The manifest names the code that ran; a copy with one source byte
+    changed names another, and importing cli computes nothing."""
+    _, out = equilibrate_run
+    package = Path(cli.__file__).resolve().parent
+    version = json.loads((out / "manifest.json").read_text())["code_version"]
+    assert version == _source_hash(package)
+
+    copy = tmp_path / "cavitrap"
+    for path in [*package.glob("*.py"), *package.glob("data/*.json")]:
+        (copy / path.relative_to(package)).parent.mkdir(parents=True, exist_ok=True)
+        (copy / path.relative_to(package)).write_bytes(path.read_bytes())
+    (copy / "errors.py").write_bytes((package / "errors.py").read_bytes() + b"\n")
+    done = subprocess.run(
+        [sys.executable, "-c", "from cavitrap import cli; "
+         "print(cli._code_version.cache_info().currsize, cli._code_version())"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    cached, changed = done.stdout.split()
+    assert cached == "0"
+    assert changed == _source_hash(copy) != version
 
 
 def test_summary_ring_column_and_stability(equilibrate_run):

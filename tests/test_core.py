@@ -174,7 +174,7 @@ def test_trap_depth_is_linear_in_intensity(species):
 
 
 def test_laplace_constraint():
-    optical = cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0)
+    optical = cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0, cv.NODE_SIN2)
     trap = cv.TrapConfig(2e6, 1.5e6, optical)
     assert trap.omega_z_dc**2 == pytest.approx(
         trap.omega_x_dc**2 + trap.omega_y_dc**2, rel=1e-12
@@ -220,12 +220,14 @@ def test_anti_trapped_raises(species, bare_trap_21):
 
 def test_optical_config_validation():
     with pytest.raises(cv.DomainError):
-        cv.OpticalTrapConfig(-1e-9, 21e-6, 0.0)
+        cv.OpticalTrapConfig(-1e-9, 21e-6, 0.0, cv.NODE_SIN2)
     with pytest.raises(cv.DomainError):
-        cv.OpticalTrapConfig(1064e-9, 21e-6, -1.0)
+        cv.OpticalTrapConfig(1064e-9, 21e-6, -1.0, cv.NODE_SIN2)
     with pytest.raises(cv.ValidationError):
         cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0, "nonsense")
-    opt = cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0)
+    with pytest.raises(TypeError):  # every caller names the lattice
+        cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0)
+    opt = cv.OpticalTrapConfig(1064e-9, 21e-6, 0.0, cv.NODE_SIN2)
     assert opt.rayleigh_range == pytest.approx(math.pi * (21e-6) ** 2 / 1064e-9)
     assert opt.lattice_wavenumber == pytest.approx(2 * math.pi / 1064e-9)
 

@@ -5,8 +5,12 @@ import pytest
 
 import cavitrap as cv
 from cavitrap.modes import (
+    _BASIS_LABELS,
+    _INDEPENDENCE_RTOL,
+    DEGENERACY_RTOL,
     LABEL_COM,
     LABEL_OTHER,
+    LABEL_OVERLAP_THRESHOLD,
     LABEL_SADDLE,
     LABEL_TILT_X,
     LABEL_TILT_Y,
@@ -242,3 +246,51 @@ def test_overlaps_do_not_depend_on_memory_placement(trapped_10, species):
         versions.add(overlaps.tobytes())
     assert len(versions) == 1
     assert np.abs(overlaps - basis.T @ sub).max() < 1e-15
+
+
+def _label_modes_per_mode(spectrum, eq):
+    """label_modes as a loop over frequency groups, a lone mode being a group
+    of one: the oracle of the one-pass labelling."""
+    basis = _label_basis(eq.xy)
+    z_idx = spectrum.select(cv.OUT_OF_PLANE)
+    vecs = spectrum.vectors.copy()
+    groups = []
+    for i in z_idx:
+        if groups and abs(spectrum.omega[i] - spectrum.omega[groups[-1][-1]]) <= (
+            DEGENERACY_RTOL * max(spectrum.omega[i], spectrum.omega[groups[-1][-1]])
+        ):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    patterns = list(basis.T)
+    labels = [None] * spectrum.n_modes
+    for group in groups:
+        sub = np.column_stack([vecs[2::3, i] for i in group])
+        rot = np.zeros((len(group), len(group)))
+        taken = _gram_schmidt([_overlaps(sub, b) for b in patterns],
+                              (LABEL_OVERLAP_THRESHOLD,) * len(patterns), rot)
+        if taken:
+            _gram_schmidt(np.eye(len(group)), (_INDEPENDENCE_RTOL**2,) * len(group),
+                          rot, len(taken))
+            vecs[2::3, group] = sub @ rot
+        for slot, i in enumerate(group):
+            labels[i] = _BASIS_LABELS[taken[slot]] if slot < len(taken) else LABEL_OTHER
+    return vecs, tuple(labels), len(z_idx) - len(groups)
+
+
+@pytest.mark.parametrize("anisotropy", [0.0, 0.1])
+@pytest.mark.parametrize("n", [*range(4, 13), 30, 120])
+def test_one_pass_labels_match_the_per_group_loop(n, anisotropy, species):
+    """Bitwise the same vectors and labels as the loop, with degenerate tilt
+    pairs (isotropic N = 4-8 and 12) and without (the rest)."""
+    trap0 = cv.make_trap(OMEGA_R, cv.OpticalTrapConfig(1064e-9, 100e-6, 0.0, cv.NODE_SIN2),
+                         anisotropy=anisotropy)
+    eq = cv.find_equilibria(n, trap0, species, n_restarts=2, seed=0)[0]
+    trap = trap0.with_depth(cv.depth_for_aspect(trap0, species, 4.0))
+    spec = cv.normal_modes(eq, trap, species)
+    vecs, labels, degenerate = _label_modes_per_mode(spec, eq)
+    assert (degenerate > 0) == (anisotropy == 0.0 and n in (4, 5, 6, 7, 8, 12))
+    labelled = cv.label_modes(spec, eq)
+    assert labelled.labels == labels
+    assert labelled.vectors.tobytes() == vecs.tobytes()
+    assert spec.vectors.tobytes() != vecs.tobytes()  # some sign was turned

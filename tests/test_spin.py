@@ -146,6 +146,26 @@ def test_relabeling_invariance(spin_setup, species):
     assert np.allclose(graph_p.j, graph.j[np.ix_(perm, perm)], rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 10])
+def test_af_fraction_is_the_upper_triangle_mean(n, bare_trap_100, species):
+    """The count over the whole symmetric J is np.mean over its upper
+    triangle to the bit, with drives between modes, where the signs mix."""
+    eq = cv.find_equilibria(n, bare_trap_100, species, n_restarts=4, seed=0)[0]
+    trap = bare_trap_100.with_depth(cv.depth_for_aspect(bare_trap_100, species, 4.0))
+    spectrum = cv.normal_modes(eq, trap, species)
+    omega = np.sort(spectrum.omega[spectrum.select(cv.OUT_OF_PLANE)])
+    apart = np.diff(omega) > 0.01 * omega[-1]  # not a degenerate pair
+    mus = [*(0.5 * (omega[:-1] + omega[1:]))[apart], 1.002 * omega[-1], 10.0 * omega[-1]]
+    fractions = set()
+    for mu in mus:
+        graph = cv.compute_jij(spectrum, eq, cv.uniform_drive(n, mu, 1e5, 1e-30))
+        want = float(np.mean(graph.j[np.triu_indices(n, 1)] > 0.0))
+        assert type(graph.af_fraction) is float
+        assert graph.af_fraction.hex() == want.hex()
+        fractions.add(want)
+    assert len(fractions) > 2  # some drives give mixed signs
+
+
 def test_fit_beta_synthetic_cube_law():
     # irregular cluster, plenty of distinct pair distances
     xy = np.array(

@@ -71,7 +71,9 @@ def _pencil(eq, trap, species):
 def test_alpha_tr_matches_full_spectrum_and_generalized_pencil(n, variant, oracle_crystals,
                                                               species):
     """The one-end solve gives the top of the full spectrum of the same
-    scaled pencil, and the generalized pencil's largest eigenvalue."""
+    scaled pencil, and the generalized pencil's largest eigenvalue. It is
+    bitwise scipy's subset solve of the scaled pencil built in C order: the
+    Fortran-order buffer find_alpha_tr hands LAPACK holds the same matrix."""
     eq = oracle_crystals[n]
     for factor in (1.5, 3.0, 6.0, 20.0):
         trap = cv.make_trap(OMEGA_R, cv.OpticalTrapConfig(
@@ -80,7 +82,9 @@ def test_alpha_tr_matches_full_spectrum_and_generalized_pencil(n, variant, oracl
         assert alpha > 0
         lhs, b = _pencil(eq, trap, species)
         scale = 1.0 / np.sqrt(b)
-        full = np.linalg.eigvalsh(scale[:, None] * lhs * scale[None, :])[-1]
+        pencil = scale[:, None] * lhs * scale[None, :]
+        assert alpha == math.sqrt(scipy.linalg.eigvalsh(pencil, subset_by_index=(n - 1, n - 1))[0])
+        full = np.linalg.eigvalsh(pencil)[-1]
         assert alpha == pytest.approx(math.sqrt(full), rel=1e-13)
         general = scipy.linalg.eigh(lhs, np.diag(b), eigvals_only=True)[-1]
         assert alpha == pytest.approx(math.sqrt(general), rel=1e-10)
@@ -89,33 +93,50 @@ def test_alpha_tr_matches_full_spectrum_and_generalized_pencil(n, variant, oracl
 @pytest.mark.parametrize("n", [2, 10, 30, 120])
 def test_alpha_tr_uniform_matches_full_spectrum(n, oracle_crystals, bare_trap_100, species):
     eq = oracle_crystals[n]
-    lam = np.linalg.eigvalsh(-cv.coulomb_z_block(eq.xy) / species.mass)[-1]
-    assert cv.alpha_tr_uniform(eq, bare_trap_100, species) == pytest.approx(
-        math.sqrt(lam) / bare_trap_100.omega_r, rel=1e-13)
+    a = -cv.coulomb_z_block(eq.xy) / species.mass
+    alpha = cv.alpha_tr_uniform(eq, bare_trap_100, species)
+    top = scipy.linalg.eigvalsh(a, subset_by_index=(n - 1, n - 1))[0]
+    assert alpha == math.sqrt(top) / bare_trap_100.omega_r  # bitwise
+    lam = np.linalg.eigvalsh(a)[-1]
+    assert alpha == pytest.approx(math.sqrt(lam) / bare_trap_100.omega_r, rel=1e-13)
 
 
 def test_transition_solves_one_end_only(oracle_crystals, bare_trap_100, species, monkeypatch):
-    """Both transition points ask LAPACK for the top eigenvalue only and
-    leave the crystal's kept z block as it was."""
+    """Both transition points ask LAPACK dsyevr for the top eigenvalue only
+    (range "I", il = iu = n) and leave the crystal's kept z block as it was."""
     eq = oracle_crystals[30]
     kept = np.array(eq._z_block)
-    subsets = []
-    subset_solve = scipy.linalg.eigvalsh
+    ranges = []
+    dsyevr = scipy.linalg.lapack.dsyevr
 
-    def one_end(m, **kwargs):
-        subsets.append(kwargs.get("subset_by_index"))
-        return subset_solve(m, **kwargs)
+    def one_end(a, **kwargs):
+        ranges.append((len(a), kwargs["range"], kwargs["il"], kwargs["iu"]))
+        return dsyevr(a, **kwargs)
 
     def full_spectrum(*args, **kwargs):
         raise AssertionError("full-spectrum eigensolve")
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", one_end)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", one_end)
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, full_spectrum)
+        monkeypatch.setattr(scipy.linalg, name, full_spectrum)
     trap = bare_trap_100.with_waist(3.0 * eq.r_max)
     cv.find_alpha_tr(eq, trap, species)
     cv.alpha_tr_uniform(eq, trap, species)
-    assert subsets == [(29, 29), (29, 29)]
+    assert ranges == [(30, "I", 30, 30), (30, "I", 30, 30)]
     assert np.array_equal(eq._z_block, kept)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 60), (60, 150), (150, 301)])
+def test_top_eigenvalue_is_eigvalsh_to_the_bit(lo, hi):
+    """The direct dsyevr call gives scipy's subset eigvalsh bits, N = 2-300,
+    on either side of LAPACK's blocked-reduction crossover."""
+    rng = np.random.default_rng(lo)
+    for n in range(lo, hi):
+        a = rng.normal(size=(n, n))
+        a += a.T
+        want = scipy.linalg.eigvalsh(a.copy(), subset_by_index=(n - 1, n - 1),
+                                     overwrite_a=True, check_finite=False)[0]
+        assert transition._top_eigenvalue(a.copy()).tobytes() == want.tobytes(), n
 
 
 def test_single_ion_never_buckles(bare_trap_21, species):

@@ -27,14 +27,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import platform  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy  # noqa: E402
-import scipy  # noqa: E402
-
 from cavitrap import cli  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from environment import environment  # noqa: E402
 
 CONFIGS = {
     "equilibrate-n30": dict(task="equilibrate", n_ions=30, n_restarts=12),
@@ -63,19 +62,6 @@ CONFIGS = {
     "lifetime-depth": dict(task="lifetime", n_ions=10, depth_mk=0.5, waist_um=21.0),
     "lifetime-omega-z": dict(task="lifetime", n_ions=10, omega_z_mhz=2.0, waist_um=21.0),
 }
-
-
-def _blas(package):
-    """The BLAS a package was built against, as its show_config names it."""
-    blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas['name']} {blas['version']}"
-
-
-def environment():
-    """One line naming what the bytes depend on besides the code."""
-    return (f"python {platform.python_version()}, numpy {numpy.__version__} "
-            f"({_blas(numpy)}), scipy {scipy.__version__} ({_blas(scipy)}), "
-            f"{platform.system()} {platform.machine()}")
 
 
 def main(out):
