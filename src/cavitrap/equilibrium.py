@@ -66,9 +66,10 @@ class EquilibriumResult:
     """One distinct planar equilibrium: positions (flat 3N, z = 0) and metrics.
 
     positions is kept as a read-only float copy. The crystal's Coulomb z
-    block and its upper-triangle pair distances are computed on first use
-    and kept, read-only, so the transition, mode and spin layers share one
-    pair pass per crystal (about 1.1 MB at N = 300).
+    block, its upper-triangle pair distances and the inputs of the fit of
+    couplings on those distances (_upper_fit) are computed on first use and
+    kept, read-only, so the transition, mode and spin layers share one pair
+    pass per crystal (about 2.2 MB at N = 300).
     """
 
     positions: np.ndarray
@@ -92,6 +93,13 @@ class EquilibriumResult:
     def _upper_r(self):
         return _read_only(_pair_r(self.xy))
 
+    @cached_property
+    def _upper_fit(self):
+        fit = _log_design(self._upper_r)
+        if fit is not None:
+            fit = _read_only(fit[0]), fit[1]
+        return _read_only(_upper_flat(self.n_ions), int), fit
+
     @property
     def n_ions(self):
         return len(self.positions) // 3
@@ -105,8 +113,8 @@ class EquilibriumResult:
         return self.xy.ravel().copy()
 
 
-def _read_only(values):
-    out = np.array(values, dtype=float)
+def _read_only(values, dtype=float):
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -132,6 +140,38 @@ def _pair_r(config):
         return config._upper_r
     _, r = _pair_distances(_xy(config))
     return r[~np.tri(len(r), dtype=bool)]  # a mask: no two index arrays to build
+
+
+def _upper_flat(n):
+    """Flat indices of the entries i < j of an (n, n) array, in
+    np.triu_indices order."""
+    return np.flatnonzero(~np.tri(n, dtype=bool))
+
+
+# relative gap above which two x values count as distinct in a power-law
+# fit; equal sides of a converged equilibrium agree to a few 1e-9
+DISTANCE_MATCH_RTOL = 1e-6
+
+
+def _log_design(x):
+    """Inputs of a least-squares fit on ln x: the design [ln x, 1] and the
+    number of distinct values of x, neighbours in sorted order being
+    distinct when more than DISTANCE_MATCH_RTOL apart, relative to the
+    larger. None unless x is positive."""
+    if np.any(x <= 0):
+        return None
+    x_sorted = np.sort(x)
+    gaps = np.diff(x_sorted) > DISTANCE_MATCH_RTOL * x_sorted[1:]
+    return np.column_stack([np.log(x), np.ones(len(x))]), 1 + np.count_nonzero(gaps)
+
+
+def _pair_fit(config):
+    """(_upper_flat(N), _log_design of the pair distances) of an
+    EquilibriumResult (kept) or of coordinates: what spin.fit_beta fits the
+    couplings on."""
+    if isinstance(config, EquilibriumResult):
+        return config._upper_fit
+    return _upper_flat(len(_xy(config))), _log_design(_pair_r(config))
 
 
 def _best_assignment(reference, candidates):

@@ -6,6 +6,11 @@ diagonalized separately and reassembled into one 3N spectrum. Modes are
 mass weighted; with a single species that is a uniform 1/m scaling, so
 eigenvalues are omega^2 directly and eigenvectors stay orthonormal.
 
+The two solves overlap on two CPUs: a short-lived helper thread solves the
+z block while the calling thread solves the in-plane block. numpy's LAPACK
+releases the interpreter lock, and each solve keeps its input, its routine
+and its one BLAS thread, so the spectrum is the serial one to the bit.
+
 Out-of-plane modes get semantic labels by projecting onto the polynomial
 basis {1, x, y, xy} evaluated at the ion positions: uniform motion is the
 center-of-mass mode, linear patterns are the two tilts, and the bilinear
@@ -14,6 +19,7 @@ Gram-Schmidt; a pattern the positions cannot carry (with one ion, two, or
 x y = 0 at every ion) is a zero column and labels no mode.
 """
 
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -84,8 +90,22 @@ def _descending_eigh(a):
     return w[::-1], v[:, ::-1]
 
 
+def _run_into(out, fn, *args):
+    """Append fn(*args), or the exception it raised, to out."""
+    try:
+        out.append(fn(*args))
+    except BaseException as exc:  # raised again by the thread that joins
+        out.append(exc)
+
+
 def normal_modes(eq, trap, species):
-    """Eigendecomposition of the mass-weighted Hessian at a planar equilibrium."""
+    """Eigendecomposition of the mass-weighted Hessian at a planar equilibrium.
+
+    The z block is solved on a helper thread while this thread solves the
+    in-plane block; the helper is joined before the call returns, and its
+    error, if any, is raised here. Both are np.linalg.eigh on the block the
+    serial solve would get, so every bit is the serial one.
+    """
     xy = _xy(eq)
     n = len(xy)
     m = species.mass
@@ -95,10 +115,20 @@ def normal_modes(eq, trap, species):
         trap.optical.depth * optical_z_curvature(xy, trap.optical) / m
         - trap.omega_z_dc**2
     )
-    w2_z, vec_z = _descending_eigh(z_block)
     xy_block = planar_hessian(xy.ravel(), trap, species)
     xy_block /= m
-    w2_xy, vec_xy = _descending_eigh(xy_block)
+    # started once the in-plane block is built, so that the two threads do
+    # not trade the interpreter lock through its Python steps
+    z_solve = []
+    helper = threading.Thread(target=_run_into, args=(z_solve, _descending_eigh, z_block))
+    helper.start()
+    try:
+        w2_xy, vec_xy = _descending_eigh(xy_block)
+    finally:
+        helper.join()
+    if isinstance(z_solve[0], BaseException):
+        raise z_solve[0]
+    w2_z, vec_z = z_solve[0]
 
     vectors = np.zeros((3 * n, 3 * n))
     vectors[2::3, :n] = vec_z

@@ -20,7 +20,7 @@ import numpy as np
 from .core import CONST
 from .errors import DomainError, FitError, ResonanceError
 from .modes import OUT_OF_PLANE
-from .equilibrium import _pair_r
+from .equilibrium import _pair_fit, _xy
 from .transition import _log_log_fit
 
 RESONANCE_TOL_FACTOR = 1e-3
@@ -107,10 +107,15 @@ def fit_beta(graph, eq):
     """Power-law exponent of |J| versus pair distance, (beta, residual RMS).
 
     Raises FitError for a zero coupling, or for fewer than three distinct
-    pair distances (transition._log_log_fit).
+    pair distances (transition._log_log_fit), and DomainError for a graph
+    of another ion count than the crystal's.
     """
-    j_abs = np.abs(graph.j[np.triu_indices(len(graph.j), 1)])
-    slope, _, residual = _log_log_fit(_pair_r(eq), j_abs, "pair distances", "couplings")
+    n = len(_xy(eq))
+    if graph.j.shape != (n, n):
+        raise DomainError(f"J_ij has shape {graph.j.shape}, the crystal {n} ions")
+    upper, fit_r = _pair_fit(eq)
+    j_abs = np.abs(graph.j.take(upper))
+    slope, _, residual = _log_log_fit(fit_r, j_abs, "pair distances", "couplings")
     return -slope, residual
 
 

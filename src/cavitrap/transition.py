@@ -20,6 +20,7 @@ The uniform-waist limit (c_i identical) has the closed form alpha_tr_uniform,
 sqrt(max eig(-A/m)) / omega_r: the asymptote of the Table I waist rule.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .core import ANTINODE_COS2, depth_for_aspect
-from .equilibrium import _coulomb_z, _xy, find_equilibria
+from .equilibrium import _coulomb_z, _log_design, _xy, find_equilibria
 from .errors import BracketError, CavitrapError, FitError
 from .potential import optical_z_curvature
 
@@ -47,6 +48,14 @@ class PowerLawFit:
     residual: float  # RMS in log space
 
 
+@functools.cache
+def _dsyevr_workspace(n):
+    """(lwork, liwork) LAPACK's workspace query gives dsyevr for an n x n
+    matrix, asked once per n."""
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    return int(lwork), int(liwork)
+
+
 def _top_eigenvalue(m):
     """Largest eigenvalue of the symmetric m (lower triangle), which it
     overwrites if m is in Fortran order; in C order LAPACK gets a copy.
@@ -56,10 +65,10 @@ def _top_eigenvalue(m):
     so the value is that call's to the bit, without its per-call checks.
     """
     n = len(m)
-    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    lwork, liwork = _dsyevr_workspace(n)
     w, _, _, _, info = lapack.dsyevr(
         m, compute_v=0, range="I", lower=1, il=n, iu=n,
-        lwork=int(lwork), liwork=liwork, overwrite_a=1,
+        lwork=lwork, liwork=liwork, overwrite_a=1,
     )
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
@@ -80,13 +89,14 @@ def find_alpha_tr(eq, trap, species):
         )
     u0 = depth_for_aspect(trap, species, 0.0)
     u1 = depth_for_aspect(trap, species, 1.0) - u0
-    # a fresh buffer, scaled in place and handed to LAPACK; the z block is
-    # exactly symmetric, so its transpose holds the same matrix in the
-    # Fortran order LAPACK takes without a copy
-    lhs = (-_coulomb_z(eq)).T
-    lhs.flat[::n + 1] += species.mass * trap.omega_z_dc**2 - u0 * curv
+    # one fresh buffer, handed to LAPACK: entry (i, j) is (-A_ij s_i) s_j
+    # and the diagonal ((d_i - A_ii) s_i) s_i, with d = m omega_z_dc^2 - U0 c.
+    # The z block A is exactly symmetric, so its transpose holds the same
+    # matrix in the Fortran order LAPACK takes without a copy
+    z = _coulomb_z(eq)
     scale = 1.0 / np.sqrt(u1 * curv)
-    lhs *= scale[:, None]
+    lhs = np.multiply(z.T, -scale[:, None])
+    lhs.flat[::n + 1] = (species.mass * trap.omega_z_dc**2 - u0 * curv - np.diagonal(z)) * scale
     lhs *= scale
     alpha_sq = _top_eigenvalue(lhs)
     alpha = math.sqrt(max(alpha_sq, 0.0))  # <= 0: the plane holds at alpha = 0
@@ -106,27 +116,19 @@ def alpha_tr_uniform(eq, trap, species):
     return math.sqrt(lam_max) / trap.omega_r
 
 
-# relative gap above which two x values count as distinct in a power-law
-# fit; equal sides of a converged equilibrium agree to a few 1e-9
-DISTANCE_MATCH_RTOL = 1e-6
-
-
-def _log_log_fit(x, y, x_name, y_name):
+def _log_log_fit(x_fit, y, x_name, y_name):
     """Least squares of ln y on ln x: (slope, intercept, RMS residual in log space).
 
-    Raises FitError, naming x_name and y_name, unless x and y are positive
-    and x holds at least three distinct values: neighbours in sorted order
-    are distinct when more than DISTANCE_MATCH_RTOL apart, relative to the
-    larger.
+    x_fit is equilibrium._log_design(x). Raises FitError, naming x_name and
+    y_name, unless x and y are positive and x holds at least three distinct
+    values.
     """
-    if np.any(x <= 0) or np.any(y <= 0):
+    if x_fit is None or np.any(y <= 0):
         raise FitError(f"power-law fit needs positive {x_name} and {y_name}")
-    x_sorted = np.sort(x)
-    gaps = np.diff(x_sorted) > DISTANCE_MATCH_RTOL * x_sorted[1:]
-    if 1 + np.count_nonzero(gaps) < 3:
+    design, distinct = x_fit
+    if distinct < 3:
         raise FitError(f"need at least 3 distinct {x_name}")
     log_y = np.log(y)
-    design = np.column_stack([np.log(x), np.ones(len(x))])
     coef, *_ = np.linalg.lstsq(design, log_y, rcond=None)
     resid = design @ coef - log_y
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2)))
@@ -138,7 +140,7 @@ def fit_power_law(points):
     pts = [(n, a) for n, a in points]
     n = np.array([p[0] for p in pts], dtype=float)
     alpha = np.array([p[1] for p in pts], dtype=float)
-    exponent, intercept, residual = _log_log_fit(n, alpha, "N", "alpha")
+    exponent, intercept, residual = _log_log_fit(_log_design(n), alpha, "N", "alpha")
     return PowerLawFit(float(np.exp(intercept)), exponent, residual)
 
 

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import threading
 
 import pytest
 
@@ -33,10 +34,14 @@ def approx_able_to_fail(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """No test leaves a worker process behind: restarts and barrier walks
-    run in forked workers, under the CLI and acceptance tests too."""
+    """No test leaves a worker process or a thread behind: restarts and
+    barrier walks run in forked workers, under the CLI and acceptance tests
+    too, and normal_modes on a helper thread. A thread left running would
+    keep later restarts from forking."""
+    threads = threading.active_count()
     yield
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 @pytest.fixture(scope="session")

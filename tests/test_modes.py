@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -294,3 +296,80 @@ def test_one_pass_labels_match_the_per_group_loop(n, anisotropy, species):
     assert labelled.labels == labels
     assert labelled.vectors.tobytes() == vecs.tobytes()
     assert spec.vectors.tobytes() != vecs.tobytes()  # some sign was turned
+
+
+@pytest.fixture(scope="module")
+def lattice_crystals(species):
+    """Crystals of N = 1, 2, 10 and 30 with the lattice at depth, on the node
+    and the antinode lattice, whose light also curves the plane."""
+    out = []
+    for variant in (cv.NODE_SIN2, cv.ANTINODE_COS2):
+        trap0 = cv.make_trap(OMEGA_R, cv.OpticalTrapConfig(1064e-9, 30e-6, 0.0, variant))
+        trap = trap0.with_depth(cv.depth_for_aspect(trap0, species, 4.0))
+        for n in (1, 2, 10, 30):
+            out.append((cv.find_equilibria(n, trap, species, n_restarts=2, seed=0)[0], trap))
+    return out
+
+
+def _serial_modes(eq, trap, species):
+    """(omega_sq, vectors) of normal_modes, each block solved in turn here by
+    np.linalg.eigh and reversed: the serial oracle."""
+    n, m = eq.n_ions, species.mass
+    z_block = cv.coulomb_z_block(eq.xy) / m
+    z_block.flat[::n + 1] += (trap.optical.depth * cv.optical_z_curvature(eq.xy, trap.optical) / m
+                              - trap.omega_z_dc**2)
+    xy_block = cv.planar_hessian(eq.xy.ravel(), trap, species)
+    xy_block /= m
+    (w2_z, vec_z), (w2_xy, vec_xy) = (np.linalg.eigh(b) for b in (z_block, xy_block))
+    vectors = np.zeros((3 * n, 3 * n))
+    vectors[2::3, :n] = vec_z[:, ::-1]
+    vectors[0::3, n:] = vec_xy[0::2, ::-1]
+    vectors[1::3, n:] = vec_xy[1::2, ::-1]
+    return np.concatenate([w2_z[::-1], w2_xy[::-1]]), vectors
+
+
+def test_overlapped_solves_are_the_serial_ones_to_the_bit(lattice_crystals, species):
+    for eq, trap in lattice_crystals:
+        spec = cv.normal_modes(eq, trap, species)
+        omega_sq, vectors = _serial_modes(eq, trap, species)
+        assert spec.omega_sq.tobytes() == omega_sq.tobytes(), eq.n_ions
+        assert spec.vectors.tobytes() == vectors.tobytes(), eq.n_ions
+
+
+def test_helper_error_reaches_the_caller(trapped_10, species, monkeypatch):
+    """The z-block solve fails on the helper thread: its error is raised in
+    the caller, nothing goes to threading.excepthook, and no thread is left."""
+    eq, trap = trapped_10
+    eigh = np.linalg.eigh
+
+    def failing_on_the_z_block(a):
+        if len(a) == eq.n_ions:
+            raise np.linalg.LinAlgError("z block")
+        return eigh(a)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(np.linalg, "eigh", failing_on_the_z_block)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="z block"):
+        cv.normal_modes(eq, trap, species)
+    assert threading.active_count() == before
+    assert hooked == []
+
+
+def test_calls_leave_no_thread_or_child(trapped_10, bare_trap_21, species):
+    """normal_modes, find_equilibria and barrier_pair leave as many threads
+    and children as they found, so a later call's _in_workers still forks
+    rather than running its tasks serially beside other threads."""
+    eq, trap = trapped_10
+    for call in (
+        lambda: cv.normal_modes(eq, trap, species),
+        lambda: cv.find_equilibria(5, bare_trap_21, species, n_restarts=6, seed=0),
+        lambda: cv.barrier_pair(*cv.find_equilibria(5, bare_trap_21, species, n_restarts=20,
+                                                    seed=0)[:2],
+                                cv.BarrierWalkParams(seed=0, n_paths=2, n_samples=200),
+                                bare_trap_21, species),
+    ):
+        threads, children = threading.active_count(), multiprocessing.active_children()
+        call()
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children

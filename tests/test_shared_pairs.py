@@ -1,6 +1,7 @@
-"""One pair pass per crystal: an EquilibriumResult keeps its Coulomb z block
-and pair distances, and every layer that reads them gives the same bits as
-on the raw coordinates, which are computed afresh on each call."""
+"""One pair pass per crystal: an EquilibriumResult keeps its Coulomb z block,
+pair distances and distance-fit inputs, and every layer that reads them
+gives the same bits as on the raw coordinates, which are computed afresh on
+each call."""
 
 import dataclasses
 import math
@@ -25,6 +26,24 @@ def _outcome(fn, *args):
         return fn(*args)
     except cv.CavitrapError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _fit_beta_before_kept_inputs(graph, raw):
+    """fit_beta as written before the crystal kept its fit inputs: the upper
+    triangle of J through np.triu_indices, the distances sorted on each call."""
+    n = len(raw)
+    x = eqm._pair_r(raw)
+    y = np.abs(graph.j[np.triu_indices(n, 1)])
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise cv.FitError("power-law fit needs positive pair distances and couplings")
+    x_sorted = np.sort(x)
+    if 1 + np.count_nonzero(np.diff(x_sorted) > 1e-6 * x_sorted[1:]) < 3:
+        raise cv.FitError("need at least 3 distinct pair distances")
+    log_y = np.log(y)
+    design = np.column_stack([np.log(x), np.ones(len(x))])
+    coef, *_ = np.linalg.lstsq(design, log_y, rcond=None)
+    resid = design @ coef - log_y
+    return -float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
 def _same(a, b):
@@ -70,7 +89,15 @@ def test_cached_pair_pass_is_bitwise_the_raw_one(n, crystals, bare_trap_100, spe
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
     graph = cv.SpinGraph(j=j, af_fraction=1.0)
-    assert _same(_outcome(cv.fit_beta, graph, eq), _outcome(cv.fit_beta, graph, raw))
+    kept = _outcome(cv.fit_beta, graph, eq)
+    assert _same(kept, _outcome(cv.fit_beta, graph, raw))
+    assert _same(kept, _outcome(_fit_beta_before_kept_inputs, graph, raw))
+    assert isinstance(kept, str) == (n in (2, 5))
+    # a zero coupling fails the same way on the kept and the fresh inputs
+    j[0, 1] = j[1, 0] = 0.0
+    zero = _outcome(cv.fit_beta, graph, eq)
+    assert zero == _outcome(_fit_beta_before_kept_inputs, graph, raw)
+    assert zero.startswith("FitError: power-law fit needs positive")
 
 
 def _count_calls(monkeypatch, name):
@@ -111,7 +138,8 @@ def test_beta_sweep_runs_one_pair_pass(crystals, bare_trap_100, species, monkeyp
 
 def test_crystal_arrays_are_read_only(crystals):
     eq = crystals[5]
-    for array in (eq.positions, eq.xy, eqm._coulomb_z(eq), eqm._pair_r(eq)):
+    upper, (design, _) = eqm._pair_fit(eq)
+    for array in (eq.positions, eq.xy, eqm._coulomb_z(eq), eqm._pair_r(eq), upper, design):
         with pytest.raises(ValueError):
             array[0] = 1.0
     # positions is a copy: the caller's array stays the caller's

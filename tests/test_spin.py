@@ -205,6 +205,10 @@ def test_fit_beta_errors(spin_setup):
     j = np.ones((3, 3)) - np.eye(3)
     with pytest.raises(cv.FitError):
         cv.fit_beta(cv.SpinGraph(j=j, af_fraction=1.0), tri * 1e-6)
+    # couplings of other ions than the crystal's
+    for n in (3, 5):
+        with pytest.raises(cv.DomainError, match=f"shape \\({n}, {n}\\), the crystal 4 ions"):
+            cv.fit_beta(cv.SpinGraph(j=np.ones((n, n)), af_fraction=1.0), eq)
 
 
 def test_fit_beta_counts_distances_beyond_rounding():

@@ -267,3 +267,53 @@ def test_bracket_error_when_no_transition(species):
     # beam much narrower than the crystal: outer ions see almost no lattice
     with pytest.raises(cv.BracketError):
         cv.find_alpha_tr(eq, trap, species)
+
+
+def _scattered_crystal(n, rng):
+    """An EquilibriumResult at n seeded random points of a disc, spaced about
+    as a crystal's ions are: find_alpha_tr reads only the positions."""
+    r = 5e-6 * math.sqrt(n) * np.sqrt(rng.random(n))
+    phi = 2.0 * math.pi * rng.random(n)
+    positions = np.zeros((n, 3))
+    positions[:, 0], positions[:, 1] = r * np.cos(phi), r * np.sin(phi)
+    return cv.EquilibriumResult(positions.ravel(), 0.0, cv.STABLE, (n,), False,
+                                float(r.max()), 0.0, 1, 0.0)
+
+
+def _alpha_tr_two_pass(eq, trap, species):
+    """alpha_tr with the pencil built in four passes: negate the z block, add
+    the diagonal, scale the rows, scale the columns."""
+    n = eq.n_ions
+    curv = cv.optical_z_curvature(eq.xy, trap.optical)
+    u0 = cv.depth_for_aspect(trap, species, 0.0)
+    u1 = cv.depth_for_aspect(trap, species, 1.0) - u0
+    lhs = (-cv.coulomb_z_block(eq.xy)).T
+    lhs.flat[::n + 1] += species.mass * trap.omega_z_dc**2 - u0 * curv
+    scale = 1.0 / np.sqrt(u1 * curv)
+    lhs *= scale[:, None]
+    lhs *= scale
+    return math.sqrt(max(transition._top_eigenvalue(lhs), 0.0))
+
+
+@pytest.mark.parametrize("variant", [cv.NODE_SIN2, cv.ANTINODE_COS2])
+def test_fused_pencil_is_the_two_pass_one(variant, species, monkeypatch):
+    """find_alpha_tr gives the two-pass build's bits at N = 2-300, and hands
+    dsyevr a Fortran-contiguous buffer, which LAPACK overwrites from N = 3 on
+    (a 2 x 2 matrix is already tridiagonal): f2py made no copy."""
+    buffers = []
+    dsyevr = scipy.linalg.lapack.dsyevr
+
+    def recorded(a, **kwargs):
+        before = a.copy()
+        out = dsyevr(a, **kwargs)
+        buffers.append((a.flags.f_contiguous, not np.array_equal(a, before)))
+        return out
+    rng = np.random.default_rng(300)
+    for n in range(2, 301):
+        eq = _scattered_crystal(n, rng)
+        trap = cv.make_trap(OMEGA_R, cv.OpticalTrapConfig(1064e-9, 3.0 * eq.r_max, 0.0, variant))
+        want = _alpha_tr_two_pass(eq, trap, species)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recorded)
+        assert cv.find_alpha_tr(eq, trap, species).alpha_tr == want, n
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", dsyevr)
+    assert buffers == [(True, False)] + [(True, True)] * 298
