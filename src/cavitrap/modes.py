@@ -2,14 +2,13 @@
 
 At a planar equilibrium the z block of the Hessian decouples exactly from
 the xy block (mirror symmetry about the crystal plane), so the two are
-diagonalized separately and reassembled into one 3N spectrum. Modes are
-mass weighted; with a single species that is a uniform 1/m scaling, so
-eigenvalues are omega^2 directly and eigenvectors stay orthonormal.
-
-The two solves overlap on two CPUs: a short-lived helper thread solves the
-z block while the calling thread solves the in-plane block. numpy's LAPACK
-releases the interpreter lock, and each solve keeps its input, its routine
-and its one BLAS thread, so the spectrum is the serial one to the bit.
+diagonalized one after the other and kept apart: the spectrum holds the
+N out-of-plane modes as an (N, N) block of per-ion z amplitudes and the
+2N in-plane modes as a (2N, 2N) block over x0, y0, x1, ... Mode m < N is
+out-of-plane mode m, mode N + k in-plane mode k. Modes are mass weighted;
+with a single species that is a uniform 1/m scaling, so eigenvalues are
+omega^2 directly and eigenvectors stay orthonormal. The dense (3N, 3N)
+layout is built only when `vectors` is read.
 
 Out-of-plane modes get semantic labels by projecting onto the polynomial
 basis {1, x, y, xy} evaluated at the ion positions: uniform motion is the
@@ -19,13 +18,13 @@ Gram-Schmidt; a pattern the positions cannot carry (with one ion, two, or
 x y = 0 at every ion) is a zero column and labels no mode.
 """
 
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .equilibrium import _coulomb_z, _xy
+from .errors import DomainError
 from .potential import optical_z_curvature, planar_hessian
 
 OUT_OF_PLANE = "out_of_plane"
@@ -47,41 +46,66 @@ class ModeSpectrum:
 
     omega_sq keeps the signed eigenvalues; omega holds magnitudes with the
     imaginary flags marking omega_sq < 0 (planar configuration past the
-    2D-3D transition).
+    2D-3D transition). Built by normal_modes only.
     """
 
-    omega: np.ndarray        # rad/s magnitudes
-    omega_sq: np.ndarray     # signed (rad/s)^2
-    vectors: np.ndarray      # (3N, 3N), column m is mode m
-    partition: tuple         # per-mode OUT_OF_PLANE / IN_PLANE
-    imaginary: np.ndarray    # per-mode bool
+    _z: tuple                # (omega_sq (N,), per-ion z amplitudes (N, N))
+    _xy: tuple               # (omega_sq (2N,), vectors (2N, 2N), rows x0, y0, x1, ...)
     labels: tuple = None     # per-mode, filled by label_modes
 
     @property
     def n_modes(self):
-        return len(self.omega)
-
-    def select(self, which):
-        """Indices of modes in the given partition, read-only; the out-of-plane
-        set is computed once per spectrum."""
-        if which == OUT_OF_PLANE:
-            return self._out_of_plane
-        return _indices_of(self.partition, which)
+        return 3 * len(self._z[0])
 
     @cached_property
-    def _out_of_plane(self):
-        return _indices_of(self.partition, OUT_OF_PLANE)
+    def omega_sq(self):
+        """Signed (rad/s)^2 per mode."""
+        return np.concatenate([self._z[0], self._xy[0]])
+
+    @cached_property
+    def omega(self):
+        """rad/s magnitudes per mode."""
+        return np.sqrt(np.abs(self.omega_sq))
+
+    @cached_property
+    def imaginary(self):
+        return self.omega_sq < 0.0
+
+    @cached_property
+    def partition(self):
+        """Per-mode OUT_OF_PLANE / IN_PLANE."""
+        n = len(self._z[0])
+        return (OUT_OF_PLANE,) * n + (IN_PLANE,) * (2 * n)
+
+    @property
+    def vectors(self):
+        """(3N, 3N) array, rows x0, y0, z0, x1, ..., column m mode m; built
+        afresh on each read."""
+        (_, vec_z), (_, vec_xy) = self._z, self._xy
+        n = len(vec_z)
+        vectors = np.zeros((3 * n, 3 * n))
+        vectors[2::3, :n] = vec_z
+        vectors[0::3, n:] = vec_xy[0::2]
+        vectors[1::3, n:] = vec_xy[1::2]
+        return vectors
+
+    def select(self, which):
+        """Read-only indices of the modes in the given partition."""
+        n = len(self._z[0])
+        idx = np.arange(*{OUT_OF_PLANE: (0, n), IN_PLANE: (n, 3 * n)}.get(which, (0, 0)))
+        idx.flags.writeable = False
+        return idx
 
     def z_amplitudes(self, mode_index):
-        """Per-ion z displacement pattern of an out-of-plane mode."""
-        return self.vectors[2::3, mode_index]
-
-
-def _indices_of(partition, which):
-    """Read-only indices of the entries of partition equal to which."""
-    idx = np.array([i for i, p in enumerate(partition) if p == which], dtype=int)
-    idx.flags.writeable = False
-    return idx
+        """Per-ion z displacement pattern of out-of-plane mode mode_index, or
+        one column per mode for an index array. Raises DomainError for an
+        index outside 0 .. N - 1, the out-of-plane modes."""
+        vec_z = self._z[1]
+        idx = np.asarray(mode_index)
+        if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= len(vec_z))):
+            raise DomainError(f"mode index {mode_index} is not an out-of-plane mode "
+                              f"0 .. {len(vec_z) - 1}")
+        return vec_z[:, mode_index]
 
 
 def _descending_eigh(a):
@@ -90,22 +114,9 @@ def _descending_eigh(a):
     return w[::-1], v[:, ::-1]
 
 
-def _run_into(out, fn, *args):
-    """Append fn(*args), or the exception it raised, to out."""
-    try:
-        out.append(fn(*args))
-    except BaseException as exc:  # raised again by the thread that joins
-        out.append(exc)
-
-
 def normal_modes(eq, trap, species):
-    """Eigendecomposition of the mass-weighted Hessian at a planar equilibrium.
-
-    The z block is solved on a helper thread while this thread solves the
-    in-plane block; the helper is joined before the call returns, and its
-    error, if any, is raised here. Both are np.linalg.eigh on the block the
-    serial solve would get, so every bit is the serial one.
-    """
+    """Eigendecomposition of the mass-weighted Hessian at a planar equilibrium:
+    np.linalg.eigh of the z block, then of the in-plane block."""
     xy = _xy(eq)
     n = len(xy)
     m = species.mass
@@ -115,33 +126,10 @@ def normal_modes(eq, trap, species):
         trap.optical.depth * optical_z_curvature(xy, trap.optical) / m
         - trap.omega_z_dc**2
     )
+    z_modes = _descending_eigh(z_block)
     xy_block = planar_hessian(xy.ravel(), trap, species)
     xy_block /= m
-    # started once the in-plane block is built, so that the two threads do
-    # not trade the interpreter lock through its Python steps
-    z_solve = []
-    helper = threading.Thread(target=_run_into, args=(z_solve, _descending_eigh, z_block))
-    helper.start()
-    try:
-        w2_xy, vec_xy = _descending_eigh(xy_block)
-    finally:
-        helper.join()
-    if isinstance(z_solve[0], BaseException):
-        raise z_solve[0]
-    w2_z, vec_z = z_solve[0]
-
-    vectors = np.zeros((3 * n, 3 * n))
-    vectors[2::3, :n] = vec_z
-    vectors[0::3, n:] = vec_xy[0::2]
-    vectors[1::3, n:] = vec_xy[1::2]
-    omega_sq = np.concatenate([w2_z, w2_xy])
-    return ModeSpectrum(
-        omega=np.sqrt(np.abs(omega_sq)),
-        omega_sq=omega_sq,
-        vectors=vectors,
-        partition=(OUT_OF_PLANE,) * n + (IN_PLANE,) * (2 * n),
-        imaginary=omega_sq < 0.0,
-    )
+    return ModeSpectrum(_z=z_modes, _xy=_descending_eigh(xy_block))
 
 
 def _gram_schmidt(columns, floor_sq, q, count=0):
@@ -202,25 +190,25 @@ def label_modes(spectrum, eq):
     Returns a new spectrum; in-plane modes keep label None.
     """
     basis = _label_basis(_xy(eq))
-    z_idx = spectrum.select(OUT_OF_PLANE)
+    w2_z, vec_z = spectrum._z
+    n = len(w2_z)
     labels = [None] * spectrum.n_modes
 
     # group k starts at starts[k]; a mode joins its predecessor's group when
     # their frequencies agree to DEGENERACY_RTOL
-    omega = spectrum.omega[z_idx]
+    omega = spectrum.omega[:n]
     joins = np.abs(np.diff(omega)) <= DEGENERACY_RTOL * np.maximum(omega[1:], omega[:-1])
     starts = np.flatnonzero(np.concatenate(([True], ~joins)))
-    sizes = np.diff(np.append(starts, len(omega)))
+    sizes = np.diff(np.append(starts, n))
 
     # a mode alone: _overlaps of a group of one sums a contiguous column of
     # products, as a sum along a contiguous row does, and the Gram-Schmidt of
     # one column scales it by ov / sqrt(ov ov). The basis is orthonormal, so
     # at most four modes are named.
-    lone = z_idx[starts[sizes == 1]]
-    rows = spectrum.vectors[2::3][:, lone].T
+    lone = starts[sizes == 1]
+    rows = vec_z[:, lone].T
     products = np.empty(rows.shape)  # C order: one contiguous row per mode
     ov = np.array([np.multiply(rows, b, out=products).sum(axis=1) for b in basis.T])
-    del rows, products  # before the full copy below
     weight = ov * ov
     hit = weight > LABEL_OVERLAP_THRESHOLD
     named = hit.any(axis=0)
@@ -228,23 +216,23 @@ def label_modes(spectrum, eq):
     for i, j, ok in zip(lone.tolist(), first.tolist(), named.tolist()):
         labels[i] = _BASIS_LABELS[j] if ok else LABEL_OTHER
 
-    vecs = spectrum.vectors.copy()
+    vecs = vec_z.copy()
     pick = first[named], np.flatnonzero(named)
     for i, scale in zip(lone[named], ov[pick] / np.sqrt(weight[pick])):
-        vecs[2::3, i] *= scale
+        vecs[:, i] *= scale
 
     patterns = list(basis.T)
     overlap_floor = (LABEL_OVERLAP_THRESHOLD,) * len(patterns)
     for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
-        group = z_idx[start:start + size]
-        sub = np.column_stack([vecs[2::3, i] for i in group])
+        group = np.arange(start, start + size)
+        sub = np.column_stack([vecs[:, i] for i in group])
         rot = np.zeros((size, size))
         # with nothing taken no mode of the group is labelled either: a single
         # mode's overlap with a basis vector is at most the group's weight
         taken = _gram_schmidt([_overlaps(sub, b) for b in patterns], overlap_floor, rot)
         if taken:
             _gram_schmidt(np.eye(size), (_INDEPENDENCE_RTOL**2,) * size, rot, len(taken))
-            vecs[2::3, group] = sub @ rot
+            vecs[:, group] = sub @ rot
         for slot, i in enumerate(group):
             labels[i] = _BASIS_LABELS[taken[slot]] if slot < len(taken) else LABEL_OTHER
-    return replace(spectrum, vectors=vecs, labels=tuple(labels))
+    return replace(spectrum, _z=(w2_z, vecs), labels=tuple(labels))

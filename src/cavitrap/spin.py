@@ -80,7 +80,7 @@ def compute_jij(spectrum, eq, drive):
     if np.any(spectrum.imaginary[idx]):
         raise DomainError("out-of-plane modes include imaginary modes")
     omega = spectrum.omega[idx]
-    patterns = spectrum.vectors[2::3, :][:, idx]
+    patterns = spectrum.z_amplitudes(idx)
     tol = drive.resonance_tolerance
     if tol is None:
         tol = RESONANCE_TOL_FACTOR * omega.max()

@@ -36,8 +36,7 @@ def approx_able_to_fail(monkeypatch):
 def no_worker_left():
     """No test leaves a worker process or a thread behind: restarts and
     barrier walks run in forked workers, under the CLI and acceptance tests
-    too, and normal_modes on a helper thread. A thread left running would
-    keep later restarts from forking."""
+    too. A thread left running would keep later restarts from forking."""
     threads = threading.active_count()
     yield
     assert multiprocessing.active_children() == []

@@ -312,8 +312,9 @@ def lattice_crystals(species):
 
 
 def _serial_modes(eq, trap, species):
-    """(omega_sq, vectors) of normal_modes, each block solved in turn here by
-    np.linalg.eigh and reversed: the serial oracle."""
+    """(omega_sq, vectors) of normal_modes, each block solved here by
+    np.linalg.eigh, reversed and scattered into the dense layout: the oracle
+    of both blocks and of the dense view."""
     n, m = eq.n_ions, species.mass
     z_block = cv.coulomb_z_block(eq.xy) / m
     z_block.flat[::n + 1] += (trap.optical.depth * cv.optical_z_curvature(eq.xy, trap.optical) / m
@@ -328,7 +329,9 @@ def _serial_modes(eq, trap, species):
     return np.concatenate([w2_z[::-1], w2_xy[::-1]]), vectors
 
 
-def test_overlapped_solves_are_the_serial_ones_to_the_bit(lattice_crystals, species):
+def test_block_solves_are_eigh_of_each_block_to_the_bit(lattice_crystals, species):
+    """omega_sq and the dense vectors read from the two kept blocks are the
+    oracle's to the bit, on both lattices at N = 1, 2, 10 and 30."""
     for eq, trap in lattice_crystals:
         spec = cv.normal_modes(eq, trap, species)
         omega_sq, vectors = _serial_modes(eq, trap, species)
@@ -336,24 +339,19 @@ def test_overlapped_solves_are_the_serial_ones_to_the_bit(lattice_crystals, spec
         assert spec.vectors.tobytes() == vectors.tobytes(), eq.n_ions
 
 
-def test_helper_error_reaches_the_caller(trapped_10, species, monkeypatch):
-    """The z-block solve fails on the helper thread: its error is raised in
-    the caller, nothing goes to threading.excepthook, and no thread is left."""
+def test_z_amplitudes_reject_a_mode_outside_the_z_block(trapped_10, species):
+    """Indices 0 .. N - 1 read the z block, as a scalar or an array; an
+    in-plane or negative index raises rather than reading a zero column or
+    an in-plane mode."""
     eq, trap = trapped_10
-    eigh = np.linalg.eigh
-
-    def failing_on_the_z_block(a):
-        if len(a) == eq.n_ions:
-            raise np.linalg.LinAlgError("z block")
-        return eigh(a)
-    hooked = []
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    monkeypatch.setattr(np.linalg, "eigh", failing_on_the_z_block)
-    before = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="z block"):
-        cv.normal_modes(eq, trap, species)
-    assert threading.active_count() == before
-    assert hooked == []
+    spec = cv.normal_modes(eq, trap, species)
+    n = eq.n_ions
+    vectors = spec.vectors
+    assert np.array_equal(spec.z_amplitudes(n - 1), vectors[2::3, n - 1])
+    assert np.array_equal(spec.z_amplitudes(np.arange(n)), vectors[2::3, :n])
+    for bad in (n, 3 * n - 1, -1, np.int64(-n), [0, n], np.array([-1, 2]), 1.0):
+        with pytest.raises(cv.DomainError):
+            spec.z_amplitudes(bad)
 
 
 def test_calls_leave_no_thread_or_child(trapped_10, bare_trap_21, species):

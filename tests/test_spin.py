@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,13 +138,32 @@ def test_relabeling_invariance(spin_setup, species):
     # permuting ions permutes rows/columns of J computed from permuted modes
     perm = np.array([2, 0, 3, 1])
     inv = np.argsort(perm)
-    vectors = spectrum.vectors.copy()
-    for block in range(3):
-        vectors[block::3, :] = vectors[block::3, :][perm]
-    import dataclasses
-    spectrum_p = dataclasses.replace(spectrum, vectors=vectors)
+    w2_z, vec_z = spectrum._z
+    spectrum_p = dataclasses.replace(spectrum, _z=(w2_z, vec_z[perm]))
     graph_p = cv.compute_jij(spectrum_p, eq.xy[perm], drive)
     assert np.allclose(graph_p.j, graph.j[np.ix_(perm, perm)], rtol=1e-12)
+
+
+def test_couplings_read_only_the_out_of_plane_block(bare_trap_100, species, eq10_100):
+    """An in-plane block of NaNs leaves J bitwise and the sweep's records,
+    a resonant one among them, as they were."""
+    eq = eq10_100[0]
+    trap = bare_trap_100.with_depth(cv.depth_for_aspect(bare_trap_100, species, 4.0))
+    spectrum = cv.label_modes(cv.normal_modes(eq, trap, species), eq)
+    w2_xy, vec_xy = spectrum._xy
+    blind = dataclasses.replace(spectrum, _xy=(np.full_like(w2_xy, np.nan),
+                                               np.full_like(vec_xy, np.nan)))
+    idx = spectrum.select(cv.OUT_OF_PLANE)
+    zmax = spectrum.omega[idx].max()
+    template = cv.uniform_drive(10, 1.5 * zmax, 1e5, cv.photon_recoil(355e-9, species))
+    for mu in (1.002 * zmax, 1.5 * zmax, 10 * zmax):
+        drive = dataclasses.replace(template, mu=(mu,))
+        j = cv.compute_jij(spectrum, eq, drive).j
+        assert cv.compute_jij(blind, eq, drive).j.tobytes() == j.tobytes()
+    mu_values = [spectrum.omega[idx[0]], 1.1 * zmax, 10 * zmax]
+    records = cv.beta_sweep(spectrum, eq, mu_values, template)
+    assert records[0]["error"] is not None and records[1]["error"] is None
+    assert repr(cv.beta_sweep(blind, eq, mu_values, template)) == repr(records)
 
 
 @pytest.mark.parametrize("n", [4, 10])
